@@ -1,30 +1,46 @@
 //! `LCL-A01`/`A02`/`A03`: purity of the engine's per-round hot path.
 //!
 //! The engine's performance contract (ARCHITECTURE.md, invariant 1)
-//! says steady-state rounds allocate nothing: arenas are preallocated,
-//! messages move by index, and a protocol `step` runs millions of times
-//! per instance. These rules make the contract lexical: inside the
-//! designated hot functions, any allocating call, lock, or `unsafe`
-//! block is a finding.
+//! says steady-state rounds allocate nothing and touch no file: arenas,
+//! halo buffers and spill pools are set up at run start, messages move by
+//! index, and a protocol `step` runs millions of times per instance.
+//! These rules make the contract lexical: inside the designated hot
+//! functions, any allocating call, lock, file I/O, or `unsafe` block is a
+//! finding.
 //!
-//! Hot functions are: the per-round/per-chunk core of
-//! `crates/local/src/engine.rs` (`step_region`, `mail_waiting`, and all
-//! methods of the `Inbox`/`InboxIter`/`Outbox` message views) and every
-//! method of a `Protocol` impl under `crates/algorithms/src/protocols/`.
+//! Hot functions are one list over the round scheduler and both message
+//! stores:
+//!
+//! - the scheduler's per-round step (`step_region`) and the slot store's
+//!   mail probe (`mail_waiting`) in `crates/local/src/engine.rs`, plus all
+//!   methods of the `Inbox`/`InboxIter`/`Outbox` message views;
+//! - in both store files (`crates/local/src/engine.rs` and
+//!   `crates/shard/src/runner.rs`), every method of a `StoreRegion` impl
+//!   and `ArenaStore::end_pass` — the per-chunk, per-node and end-of-pass
+//!   store operations (`begin_pass`, which may spill, runs between passes
+//!   and is exempt);
+//! - every method of a `Protocol` impl under
+//!   `crates/algorithms/src/protocols/`.
 
 use crate::model::FnInfo;
 use crate::report::Finding;
 use crate::rules::{body, macro_at, method_call_at, path_call_at};
 use crate::workspace::SourceFile;
 
-const ENGINE_FILE: &str = "crates/local/src/engine.rs";
+/// Files holding the round scheduler and the message stores.
+const STORE_FILES: &[&str] = &["crates/local/src/engine.rs", "crates/shard/src/runner.rs"];
 const PROTOCOLS_DIR: &str = "crates/algorithms/src/protocols/";
 
-/// Engine functions that run per round or per chunk.
-const ENGINE_HOT_FNS: &[&str] = &["step_region", "mail_waiting"];
+/// Free functions that run per round or per chunk.
+const HOT_FNS: &[&str] = &["step_region", "mail_waiting"];
 
-/// Engine types whose methods sit on the message path of every step.
-const ENGINE_HOT_TYPES: &[&str] = &["Inbox", "InboxIter", "Outbox"];
+/// Types whose methods sit on the message path of every step.
+const HOT_TYPES: &[&str] = &["Inbox", "InboxIter", "Outbox"];
+
+/// Store trait methods that run inside or at the end of every pass, by
+/// trait; `None` marks every method of the trait.
+const HOT_TRAIT_METHODS: &[(&str, Option<&str>)] =
+    &[("StoreRegion", None), ("ArenaStore", Some("end_pass"))];
 
 /// Methods that allocate (or can reallocate) on their receiver.
 const ALLOC_METHODS: &[&str] = &[
@@ -67,19 +83,45 @@ const ALLOC_MACROS: &[&str] = &["vec", "format", "println", "eprintln", "print",
 /// Identifiers of blocking synchronization primitives.
 const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc"];
 
+/// File/stream methods: a pass reading or writing spill storage mid-round
+/// would serialize on disk latency; residency changes belong between
+/// passes.
+const IO_METHODS: &[&str] = &[
+    "read",
+    "read_exact",
+    "read_to_end",
+    "write",
+    "write_all",
+    "seek",
+    "flush",
+    "sync_all",
+    "set_len",
+];
+
+/// `Type::constructor` pairs that open file handles.
+const IO_PATHS: &[(&str, &str)] = &[
+    ("File", "open"),
+    ("File", "create"),
+    ("File", "create_new"),
+    ("OpenOptions", "new"),
+];
+
 /// Whether `f` in `file` is part of the designated hot path.
 #[must_use]
 pub fn is_hot(file: &SourceFile, f: &FnInfo) -> bool {
     if f.in_test {
         return false;
     }
-    if file.rel == ENGINE_FILE {
-        let hot_free = ENGINE_HOT_FNS.contains(&f.name.as_str());
-        let hot_impl = f
-            .impl_ctx
-            .as_ref()
-            .is_some_and(|ctx| ENGINE_HOT_TYPES.contains(&ctx.type_name.as_str()));
-        return hot_free || hot_impl;
+    if STORE_FILES.contains(&file.rel.as_str()) {
+        let Some(ctx) = f.impl_ctx.as_ref() else {
+            return HOT_FNS.contains(&f.name.as_str());
+        };
+        let hot_method = ctx.trait_name.as_deref().is_some_and(|t| {
+            HOT_TRAIT_METHODS
+                .iter()
+                .any(|&(trait_name, m)| t == trait_name && m.is_none_or(|m| m == f.name))
+        });
+        return hot_method || HOT_TYPES.contains(&ctx.type_name.as_str());
     }
     file.rel.starts_with(PROTOCOLS_DIR)
         && f.impl_ctx
@@ -89,7 +131,7 @@ pub fn is_hot(file: &SourceFile, f: &FnInfo) -> bool {
 
 /// Runs the three hot-path rules over one file.
 pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if file.rel != ENGINE_FILE && !file.rel.starts_with(PROTOCOLS_DIR) {
+    if !STORE_FILES.contains(&file.rel.as_str()) && !file.rel.starts_with(PROTOCOLS_DIR) {
         return;
     }
     for f in &file.model.fns {
@@ -109,6 +151,20 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
                         format!(
                             "allocating call `.{}(…)` in hot-path fn `{}` — \
                              hot rounds must reuse preallocated buffers",
+                            m.text, f.name
+                        ),
+                    ));
+                }
+                if IO_METHODS.contains(&m.text.as_str()) {
+                    findings.push(finding(
+                        "LCL-A02",
+                        file,
+                        f,
+                        m.line,
+                        m.col,
+                        format!(
+                            "I/O call `.{}(…)` in hot-path fn `{}` — spill traffic \
+                             belongs between passes, never inside one",
                             m.text, f.name
                         ),
                     ));
@@ -141,6 +197,23 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
                         first.col,
                         format!(
                             "allocating constructor `{}::{}(…)` in hot-path fn `{}`",
+                            first.text, second.text, f.name
+                        ),
+                    ));
+                }
+                if IO_PATHS
+                    .iter()
+                    .any(|(a, b)| first.is_ident(a) && second.is_ident(b))
+                {
+                    findings.push(finding(
+                        "LCL-A02",
+                        file,
+                        f,
+                        first.line,
+                        first.col,
+                        format!(
+                            "file handle `{}::{}(…)` opened in hot-path fn `{}` — \
+                             spill pools are created at run start",
                             first.text, second.text, f.name
                         ),
                     ));

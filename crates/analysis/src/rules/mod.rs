@@ -3,9 +3,8 @@
 //! | Rule id | Enforces |
 //! |---|---|
 //! | `LCL-A01` | no allocation in hot-path functions |
-//! | `LCL-A02` | no locks or channels in hot-path functions |
+//! | `LCL-A02` | no locks, channels, or file I/O in hot-path functions |
 //! | `LCL-A03` | no `unsafe` in hot-path functions |
-//! | `LCL-A04` | no allocation or file I/O in the per-round shard pass |
 //! | `LCL-D01` | no order-dependent `HashMap`/`HashSet` iteration in library code |
 //! | `LCL-D02` | no wall-clock (`Instant`/`SystemTime`) values in library code |
 //! | `LCL-D03` | no thread-identity-dependent logic in library code |
@@ -19,15 +18,14 @@
 //!
 //! The *dynamic* half of the hot-path contract — that every arena slot
 //! is written at most once per round, only by its owning chunk — cannot
-//! be a lexical rule; it is enforced by the engine's arena
-//! write-discipline checker (`EngineConfig::check_arena` /
+//! be a lexical rule; it is enforced, for both message stores, by the
+//! round scheduler's arena write-discipline checker (`EngineConfig::check_arena` /
 //! the `arena-check` feature of `lcl_local`).
 
 pub mod crosscheck;
 pub mod determinism;
 pub mod hotpath;
 pub mod hygiene;
-pub mod shardpath;
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FnInfo;
@@ -43,13 +41,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "LCL-A02",
-        "hot-path purity: no locks, channels, or blocking primitives",
+        "hot-path purity: no locks, channels, blocking primitives, or file I/O",
     ),
     ("LCL-A03", "hot-path purity: no unsafe blocks"),
-    (
-        "LCL-A04",
-        "shard-pass purity: no allocation or file I/O inside the per-round shard pass",
-    ),
     (
         "LCL-D01",
         "determinism: no order-dependent HashMap/HashSet iteration",
@@ -96,7 +90,6 @@ pub fn run_all(files: &[SourceFile], root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         hotpath::check(file, &mut findings);
-        shardpath::check(file, &mut findings);
         determinism::check(file, &mut findings);
         hygiene::check(file, &mut findings);
     }

@@ -43,6 +43,11 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
             ("LCL-A02", "crates/local/src/engine.rs", 9),
             ("LCL-A03", "crates/local/src/engine.rs", 10),
             ("LCL-A01", "crates/local/src/engine.rs", 17),
+            ("LCL-A01", "crates/shard/src/runner.rs", 7),
+            ("LCL-A01", "crates/shard/src/runner.rs", 8),
+            ("LCL-A02", "crates/shard/src/runner.rs", 9),
+            ("LCL-A02", "crates/shard/src/runner.rs", 16),
+            ("LCL-A01", "crates/shard/src/runner.rs", 17),
         ],
         "{}",
         report.human()
@@ -51,9 +56,16 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
     assert_eq!(report.findings[0].item, "BadCast::step");
     assert_eq!(report.findings[2].item, "step_region");
     assert_eq!(report.findings[5].item, "Inbox::gather");
-    // The `#[cfg(test)]` allocation in the protocol fixture is not
-    // reported: hot-path rules skip test code.
-    assert_eq!(report.files_scanned, 2);
+    assert_eq!(report.findings[6].item, "BadRegion::begin_chunk");
+    assert_eq!(report.findings[9].item, "BadStore::end_pass");
+    // The `#[cfg(test)]` allocations in the protocol and store fixtures
+    // are not reported: hot-path rules skip test code. Neither is the
+    // store's `begin_pass`, which runs between passes.
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.item != "BadStore::begin_pass"));
+    assert_eq!(report.files_scanned, 3);
 }
 
 #[test]
@@ -124,29 +136,6 @@ fn crosscheck_churn_fixture_triggers_exact_rules_and_spans() {
             "spider"
         ]
     );
-}
-
-#[test]
-fn shardpath_fixture_triggers_exact_rules_and_spans() {
-    let report = run_fixture("shardpath");
-    assert_eq!(
-        spans(&report),
-        vec![
-            ("LCL-A04", "crates/shard/src/runner.rs", 6),
-            ("LCL-A04", "crates/shard/src/runner.rs", 7),
-            ("LCL-A04", "crates/shard/src/runner.rs", 8),
-            ("LCL-A04", "crates/shard/src/runner.rs", 14),
-            ("LCL-A04", "crates/shard/src/runner.rs", 15),
-        ],
-        "{}",
-        report.human()
-    );
-    assert_eq!(report.findings[0].item, "shard_pass");
-    assert_eq!(report.findings[3].item, "capture_halos");
-    // The barrier-time helper and the `#[cfg(test)]` fn named
-    // `shard_pass` are not reported: only the two pass fns are policed,
-    // and never in test code.
-    assert!(report.findings.iter().all(|f| f.item != "refill_residency"));
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Declarative figure/theorem sweeps, all driven through the
-//! `lcl_harness` registry and [`Session`] runner.
+//! `lcl_harness` resolver and [`Session`] runner.
 //!
 //! Each figure is a function holding only *declarations* — instance
 //! specs, seeds, and table layout. Execution, seeding, verification, and
-//! parallelism live in the harness; the experiment binaries under
-//! `src/bin/` are one-line wrappers over [`run_figure`], and the `lcl`
-//! CLI dispatches here for `lcl sweep <figure>`.
+//! parallelism live in the harness; the `lcl` CLI dispatches here
+//! ([`run_figure`]) for `lcl sweep <figure>`.
 
 use crate::measure::{fit_points, fit_waiting, log_star_power, Point};
 use crate::report::{f1, f3, save_json, Table};
@@ -232,7 +231,7 @@ fn fig2_empirical(opts: &FigureOpts) -> Result<serde::Value, String> {
         &["algorithm", "landscape cell", "theory (node-avg)", "fitted"],
     );
     let mut algorithms = Vec::new();
-    for algo in lcl_harness::registry() {
+    for algo in lcl_harness::resolver().algorithms() {
         let (summary, _) = crate::classify::classify_algorithm(*algo, &scale)?;
         table.row(&[
             summary.algorithm.clone(),

@@ -1,8 +1,8 @@
-//! Figure declarations and reporting utilities for the experiment
-//! binaries, built on the unified `lcl_harness` execution API.
+//! Figure declarations and reporting utilities for the `lcl` CLI,
+//! built on the unified `lcl_harness` execution API.
 //!
-//! Every binary regenerates one figure or theorem of the paper (see
-//! `DESIGN.md` for the index) by dispatching into [`figures`]; each
+//! `lcl sweep <figure>` regenerates one figure or theorem of the paper
+//! (see `DESIGN.md` for the index) by dispatching into [`figures`]; each
 //! figure prints a human-readable table and writes a machine-readable
 //! JSON record under `bench-results/`. The `lcl` CLI binary is the
 //! single entry point (`lcl list`, `lcl run`, `lcl sweep <figure>`,

@@ -18,7 +18,7 @@
 //! than the same factor.
 
 use crate::report::{f1, f3, save_json, Table};
-use lcl_harness::{find, registry, run_timed, InstanceSpec, RunConfig, ScaleConfig, Session};
+use lcl_harness::{find, resolver, run_timed, InstanceSpec, RunConfig, ScaleConfig, Session};
 use lcl_local::engine::{EngineConfig, ShardConfig};
 use serde::{Serialize, Value};
 
@@ -584,7 +584,7 @@ pub fn perf_gate(threshold: f64) -> Result<(), String> {
         ],
     );
     let mut failures = Vec::new();
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let report = reports
             .iter()
             .find(|r| field(r, "algorithm").and_then(as_str) == Some(algo.name()));
@@ -671,7 +671,8 @@ mod tests {
     fn suite_covers_the_whole_registry() {
         let mut suite_names: Vec<&str> = suite().iter().map(|e| e.algorithm).collect();
         suite_names.sort_unstable();
-        let mut registry_names: Vec<&str> = registry().iter().map(|a| a.name()).collect();
+        let mut registry_names: Vec<&str> =
+            resolver().algorithms().iter().map(|a| a.name()).collect();
         registry_names.sort_unstable();
         assert_eq!(
             suite_names, registry_names,

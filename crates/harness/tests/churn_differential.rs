@@ -18,7 +18,7 @@ use lcl_core::churn::ChurnScript;
 use lcl_graph::generators::{
     broom, caterpillar, complete_ary_tree, heavy_path_skewed, ladder, spider,
 };
-use lcl_harness::{find, registry, DynamicSession, InstanceSpec, RunConfig};
+use lcl_harness::{find, resolver, DynamicSession, InstanceSpec, RunConfig};
 use lcl_local::engine::EngineConfig;
 
 /// The preset mixes, trimmed to a volume the full sweep can afford.
@@ -368,7 +368,7 @@ fn every_registry_solver_is_covered() {
         "labeling-solver",
         "path-lcl",
     ];
-    let mut names: Vec<&str> = registry().iter().map(|a| a.name()).collect();
+    let mut names: Vec<&str> = resolver().algorithms().iter().map(|a| a.name()).collect();
     names.sort_unstable();
     let mut expected: Vec<&str> = covered.to_vec();
     expected.sort_unstable();

@@ -9,7 +9,11 @@
 //!
 //! # Execution strategy
 //!
-//! The engine is built for million-node trees:
+//! One round scheduler ([`run_rounds`]) makes every scheduling decision; a
+//! message store ([`ArenaStore`]) only holds the messages. The slot store
+//! below backs [`run_sync`]; the sharded executor (`lcl_shard`) runs the
+//! same scheduler over a bit-packed, spillable store. The engine is built
+//! for million-node trees:
 //!
 //! - **CSR-aligned message arenas.** Messages live in two flat slot arenas
 //!   with one slot per *directed edge*, laid out exactly like the tree's
@@ -511,16 +515,16 @@ impl ShardConfig {
         self.shards.max(1)
     }
 
-    /// Residency limit with defaults applied: `0` means all shards
-    /// resident, other values are clamped to at least 1 and at most the
-    /// shard count.
+    /// Residency limit for a plan of `shard_count` shards (the plan may
+    /// hold fewer shards than requested when the tree has fewer chunks):
+    /// `0` means all shards resident, other values are clamped to at
+    /// least 1 and at most `shard_count`.
     #[must_use]
-    pub fn resolved_max_resident(&self) -> usize {
-        let shards = self.resolved_shards();
+    pub fn resolved_max_resident(&self, shard_count: usize) -> usize {
         if self.max_resident == 0 {
-            shards
+            shard_count
         } else {
-            self.max_resident.clamp(1, shards)
+            self.max_resident.clamp(1, shard_count)
         }
     }
 }
@@ -653,10 +657,12 @@ pub fn region_bounds(n: usize, chunk_size: usize, workers: usize) -> Vec<usize> 
 ///    written in rounds `< r`; an epoch of `r + 1` on the read side means
 ///    a same-round write leaked across the round barrier.
 ///
-/// The epochs are deliberately *independent* of the slice-splitting that
-/// makes the engine safe by construction: the checker would still catch a
-/// bug introduced through an incorrect `split_regions` or a wrong
-/// reverse-edge permutation.
+/// The checker attaches in the round scheduler at the [`ArenaStore`]
+/// boundary and works on global CSR edge indices, which every store
+/// shares, so it checks the slot and packed stores alike. Its epochs are
+/// deliberately *independent* of the slice-splitting that makes the
+/// stores safe by construction: it would still catch a bug introduced
+/// through an incorrect region split or a wrong reverse-edge permutation.
 struct ArenaChecker {
     /// `epochs[parity][slot]`: last-write round + 1 for that arena.
     epochs: [Vec<AtomicU64>; 2],
@@ -730,15 +736,227 @@ impl ArenaChecker {
     }
 }
 
+/// Run-constant CSR geometry shared by the round scheduler and every
+/// [`ArenaStore`]: directed edge `offsets[v] + p` is node `v`'s port `p`,
+/// `adjacency` names its head and `rev` its reversal.
+#[derive(Debug, Clone, Copy)]
+pub struct Topology<'a> {
+    /// CSR offsets (`n + 1` entries).
+    pub offsets: &'a [u32],
+    /// CSR adjacency: the head of every directed edge.
+    pub adjacency: &'a [u32],
+    /// The reverse-edge permutation ([`reverse_edges`]).
+    pub rev: &'a [u32],
+    /// Nodes per scheduling chunk (resolved, non-zero).
+    pub chunk_size: usize,
+}
+
+/// What an [`ArenaStore`] constructor sees: the run's geometry plus the
+/// freshly built machines (their [`Protocol::message_bits`] hints size
+/// packed arenas).
+pub struct StoreSetup<'a, P> {
+    /// The tree being run.
+    pub tree: &'a Tree,
+    /// Run-constant CSR geometry.
+    pub topology: Topology<'a>,
+    /// Per-node contexts, indexed by node.
+    pub contexts: &'a [NodeContext],
+    /// Per-node machines, all present.
+    pub machines: &'a [Option<P>],
+    /// Resolved worker count: at most this many regions run per pass.
+    pub workers: usize,
+}
+
+/// Message storage behind the round scheduler ([`run_rounds`]).
+///
+/// The scheduler owns every scheduling decision (mail flags, wake hints,
+/// chunk wake minima, quiet-round fast-forward, the round limit, worker
+/// dispatch); a store only holds the messages. A round is a sequence of
+/// *passes*, one per contiguous node range of
+/// [`pass_bounds`](ArenaStore::pass_bounds): the monolithic slot store
+/// has one pass over all nodes, the sharded packed store one per shard.
+/// Within a pass the scheduler splits the nodes into chunk-aligned worker
+/// regions and asks the store for the matching write regions.
+pub trait ArenaStore<M> {
+    /// Failure of a store operation; round-limit failures convert into it.
+    type Error: From<RunError>;
+    /// One worker's view of a pass: the read side plus its disjoint share
+    /// of the write side.
+    type Region<'a>: StoreRegion<M> + Send
+    where
+        Self: 'a;
+
+    /// Node cut points of the passes: `passes + 1` chunk-aligned indices
+    /// from `0` to `n`.
+    fn pass_bounds(&self) -> &[usize];
+
+    /// Prepares pass `pass` before its regions are opened (for example
+    /// makes a shard's arenas resident). No-op by default.
+    ///
+    /// # Errors
+    ///
+    /// Store-specific, e.g. spill I/O.
+    fn begin_pass(&mut self, _pass: usize) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Splits pass `pass` of `round` into one region per window of
+    /// `bounds` (global, chunk-aligned node cut points inside the pass).
+    fn regions<'a>(
+        &'a mut self,
+        topology: &'a Topology<'a>,
+        pass: usize,
+        round: u64,
+        bounds: &'a [usize],
+    ) -> impl Iterator<Item = Self::Region<'a>>;
+
+    /// Finishes pass `pass` of `round` once every region is done (for
+    /// example mirrors boundary-crossing messages into halo buffers).
+    /// No-op by default.
+    fn end_pass(&mut self, _pass: usize, _round: u64) {}
+
+    /// Peak bytes of message storage resident at any point of the run.
+    fn peak_arena_bytes(&self) -> u64;
+}
+
+/// One worker's share of an [`ArenaStore`] pass. `chunk` arguments are
+/// region-relative chunk indices; node and edge indices are global.
+pub trait StoreRegion<M> {
+    /// Called before the first node of region chunk `chunk` is visited in
+    /// `round`. No-op by default.
+    fn begin_chunk(&mut self, _chunk: usize, _round: u64) {}
+
+    /// Gathers the inbox for `round` of the node whose CSR slots start
+    /// at `base` and opens its outbox. Returns `None` when the node is not
+    /// `due` and has no mail, i.e. it is not stepped.
+    fn open<'s>(
+        &'s mut self,
+        topology: &Topology<'s>,
+        base: usize,
+        degree: usize,
+        round: u64,
+        due: bool,
+    ) -> Option<(Inbox<'s, M>, Outbox<'s, M>)>;
+
+    /// Commits the messages the node at `base` just sent and reports
+    /// each port it sent on.
+    fn sent_ports(&mut self, base: usize, degree: usize, sent_on: impl FnMut(usize));
+}
+
+/// The monolithic store: two full-tree `Option<(u32, M)>` slot arenas in
+/// CSR order, one pass over all nodes. Inboxes are zero-copy gathers over
+/// the read arena; stamps expire stale slots.
+struct SlotStore<M> {
+    arenas: [Vec<ArenaSlot<M>>; 2],
+    bounds: [usize; 2],
+}
+
+/// A worker's view of the slot store: the whole read arena and the CSR
+/// range of the write arena owned by its nodes.
+struct SlotRegion<'a, M> {
+    read: &'a [ArenaSlot<M>],
+    write: &'a mut [ArenaSlot<M>],
+    slot_base: usize,
+}
+
+impl<M: Clone + Send + Sync> ArenaStore<M> for SlotStore<M> {
+    type Error = RunError;
+    type Region<'a>
+        = SlotRegion<'a, M>
+    where
+        Self: 'a;
+
+    fn pass_bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
+    fn regions<'a>(
+        &'a mut self,
+        topology: &'a Topology<'a>,
+        _pass: usize,
+        round: u64,
+        bounds: &'a [usize],
+    ) -> impl Iterator<Item = SlotRegion<'a, M>> {
+        // Even rounds write arena 0 and read arena 1; odd rounds swap.
+        let [a, b] = &mut self.arenas;
+        let (mut write, read) = if round.is_multiple_of(2) {
+            (a.as_mut_slice(), &*b)
+        } else {
+            (b.as_mut_slice(), &*a)
+        };
+        bounds.windows(2).map(move |w| {
+            let (lo, hi) = (topology.offsets[w[0]], topology.offsets[w[1]]);
+            let (head, tail) = std::mem::take(&mut write).split_at_mut((hi - lo) as usize);
+            write = tail;
+            SlotRegion {
+                read,
+                write: head,
+                slot_base: lo as usize,
+            }
+        })
+    }
+
+    fn peak_arena_bytes(&self) -> u64 {
+        // Both full-tree double-buffered arenas live for the whole run.
+        2 * (self.arenas[0].len() * std::mem::size_of::<ArenaSlot<M>>()) as u64
+    }
+}
+
+impl<M> StoreRegion<M> for SlotRegion<'_, M> {
+    #[inline]
+    fn open<'s>(
+        &'s mut self,
+        topology: &Topology<'s>,
+        base: usize,
+        degree: usize,
+        round: u64,
+        due: bool,
+    ) -> Option<(Inbox<'s, M>, Outbox<'s, M>)> {
+        let expect = round as u32;
+        if !due && !mail_waiting(self.read, topology.rev, base, degree, expect) {
+            return None;
+        }
+        let lo = base - self.slot_base;
+        let out_slots = &mut self.write[lo..lo + degree];
+        for slot in out_slots.iter_mut() {
+            *slot = None;
+        }
+        Some((
+            Inbox::gather(self.read, topology.rev, base, degree, expect),
+            Outbox::slots(out_slots, expect + 1),
+        ))
+    }
+
+    #[inline]
+    fn sent_ports(&mut self, base: usize, degree: usize, mut sent_on: impl FnMut(usize)) {
+        let lo = base - self.slot_base;
+        for (p, slot) in self.write[lo..lo + degree].iter().enumerate() {
+            if slot.is_some() {
+                sent_on(p);
+            }
+        }
+    }
+}
+
+/// Does the node with CSR `base` and `degree` have a message stamped for
+/// this round?
+#[inline]
+fn mail_waiting<M>(
+    read: &[ArenaSlot<M>],
+    rev: &[u32],
+    base: usize,
+    degree: usize,
+    expect: u32,
+) -> bool {
+    (0..degree)
+        .any(|p| matches!(&read[rev[base + p] as usize], Some((stamp, _)) if *stamp == expect))
+}
+
 /// Read-only (or atomically shared) state every worker sees during one
 /// round.
-struct RoundShared<'a, M> {
-    read: &'a [ArenaSlot<M>],
-    rev: &'a [u32],
-    offsets: &'a [u32],
-    adjacency: &'a [u32],
+struct RoundShared<'a> {
+    topology: Topology<'a>,
     contexts: &'a [NodeContext],
-    chunk_size: usize,
     /// Mail flags consumed this round (set by last round's senders).
     /// Indexed by global chunk; each flag is cleared by the chunk's owner.
     mail_now: &'a [AtomicBool],
@@ -749,12 +967,10 @@ struct RoundShared<'a, M> {
     checker: Option<&'a ArenaChecker>,
 }
 
-/// One worker's contiguous slice of every per-node array plus its CSR
-/// range of the write arena. Regions are chunk-aligned, so each also owns
-/// a contiguous slice of the per-chunk wake array.
-struct Region<'a, P: Protocol> {
+/// One worker's contiguous, chunk-aligned slice of every per-node array
+/// and of the per-chunk wake array.
+struct NodeRegion<'a, P: Protocol> {
     start: NodeId,
-    slot_base: usize,
     /// Global index of the region's first chunk.
     first_chunk: usize,
     machines: &'a mut [Option<P>],
@@ -770,159 +986,120 @@ struct Region<'a, P: Protocol> {
     /// is exact after every visit and untouched (hence still valid)
     /// between visits.
     chunk_wakes: &'a mut [u64],
-    write: &'a mut [ArenaSlot<P::Message>],
 }
 
-/// Does the node with CSR `base` and `degree` have a message stamped for
-/// this round?
-fn mail_waiting<M>(
-    read: &[ArenaSlot<M>],
-    rev: &[u32],
-    base: usize,
-    degree: usize,
-    expect: u32,
-) -> bool {
-    (0..degree)
-        .any(|p| matches!(&read[rev[base + p] as usize], Some((stamp, _)) if *stamp == expect))
-}
-
-/// Executes one round over one region, visiting only chunks that are due
-/// or flagged for mail. Returns `(terminated, sent)`.
-fn step_region<P: Protocol>(
-    region: &mut Region<'_, P>,
-    shared: &RoundShared<'_, P::Message>,
-) -> (usize, u64) {
-    let round = shared.round;
-    let expect = round as u32;
-    let stamp = expect + 1;
-    let mut terminated = 0usize;
-    let mut sent = 0u64;
-    for c in 0..region.chunk_wakes.len() {
-        let flag = &shared.mail_now[region.first_chunk + c];
-        // The owner is the only clearer; a plain load first keeps idle
-        // chunks' cache lines in the shared state.
-        let mail = flag.load(Ordering::Relaxed);
-        if mail {
-            flag.store(false, Ordering::Relaxed);
-        } else if region.chunk_wakes[c] > round {
-            continue;
-        }
-        let node_lo = c * shared.chunk_size;
-        let node_hi = (node_lo + shared.chunk_size).min(region.machines.len());
-        let mut chunk_wake = u64::MAX;
-        for i in node_lo..node_hi {
-            if region.states[i] == NodeState::Done {
-                continue;
-            }
-            let v = region.start + i;
-            let base = shared.offsets[v] as usize;
-            let ctx = &shared.contexts[v];
-            let due = region.wakes[i] <= round;
-            let stepping =
-                due || (mail && mail_waiting(shared.read, shared.rev, base, ctx.degree, expect));
-            if !stepping {
-                chunk_wake = chunk_wake.min(region.wakes[i]);
-                continue;
-            }
-            let lo = base - region.slot_base;
-            let hi = shared.offsets[v + 1] as usize - region.slot_base;
-            let out_slots = &mut region.write[lo..hi];
-            for slot in out_slots.iter_mut() {
-                *slot = None;
-            }
-            if let Some(checker) = shared.checker {
-                for p in 0..ctx.degree {
-                    checker.record_read(shared.rev[base + p] as usize, round);
-                }
-            }
-            let inbox = Inbox::gather(shared.read, shared.rev, base, ctx.degree, expect);
-            let mut outbox = Outbox::slots(out_slots, stamp);
-            let Some(machine) = region.machines[i].as_mut() else {
-                unreachable!("a node in the Running state has a machine")
-            };
-            let decided = machine.step(ctx, round, &inbox, &mut outbox);
-            let wrote = outbox.sent();
-            if wrote > 0 {
-                sent += wrote as u64;
-                for (p, slot) in region.write[lo..hi].iter().enumerate() {
-                    if slot.is_some() {
-                        if let Some(checker) = shared.checker {
-                            checker.record_write(base + p, round, region.first_chunk + c);
-                        }
-                        let w = shared.adjacency[base + p] as usize;
-                        shared.mail_next[w / shared.chunk_size].store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-            if let Some(output) = decided {
-                region.outputs[i] = Some(output);
-                region.rounds[i] = expect;
-                region.machines[i] = None;
-                region.states[i] = NodeState::Done;
-                terminated += 1;
-            } else {
-                let Some(machine) = region.machines[i].as_ref() else {
-                    unreachable!("a node in the Running state has a machine")
-                };
-                let wake = machine.next_wake(ctx, round).max(round + 1);
-                region.wakes[i] = wake;
-                chunk_wake = chunk_wake.min(wake);
-            }
-        }
-        region.chunk_wakes[c] = chunk_wake;
-    }
-    (terminated, sent)
-}
-
-/// Splits all per-node and per-chunk arrays plus the write arena into
-/// per-region slices.
-#[allow(clippy::too_many_arguments)]
-fn split_regions<'a, P: Protocol>(
-    bounds: &[usize],
-    offsets: &[u32],
-    chunk_size: usize,
-    mut machines: &'a mut [Option<P>],
-    mut outputs: &'a mut [Option<P::Output>],
-    mut rounds: &'a mut [u32],
-    mut states: &'a mut [NodeState],
-    mut wakes: &'a mut [u64],
-    mut chunk_wakes: &'a mut [u64],
-    mut write: &'a mut [ArenaSlot<P::Message>],
-) -> Vec<Region<'a, P>> {
-    let mut regions = Vec::with_capacity(bounds.len() - 1);
-    for w in bounds.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        let nodes = hi - lo;
+impl<'a, P: Protocol> NodeRegion<'a, P> {
+    /// Splits the first `nodes` nodes (whole chunks, or the rest) off as
+    /// their own region.
+    fn split_front(&mut self, nodes: usize, chunk_size: usize) -> NodeRegion<'a, P> {
         let chunks = nodes.div_ceil(chunk_size);
-        let slots = offsets[hi] as usize - offsets[lo] as usize;
-        let (m, m_rest) = std::mem::take(&mut machines).split_at_mut(nodes);
-        machines = m_rest;
-        let (o, o_rest) = std::mem::take(&mut outputs).split_at_mut(nodes);
-        outputs = o_rest;
-        let (r, r_rest) = std::mem::take(&mut rounds).split_at_mut(nodes);
-        rounds = r_rest;
-        let (s, s_rest) = std::mem::take(&mut states).split_at_mut(nodes);
-        states = s_rest;
-        let (wk, wk_rest) = std::mem::take(&mut wakes).split_at_mut(nodes);
-        wakes = wk_rest;
-        let (cw, cw_rest) = std::mem::take(&mut chunk_wakes).split_at_mut(chunks);
-        chunk_wakes = cw_rest;
-        let (ws, w_rest) = std::mem::take(&mut write).split_at_mut(slots);
-        write = w_rest;
-        regions.push(Region {
-            start: lo,
-            slot_base: offsets[lo] as usize,
-            first_chunk: lo / chunk_size,
+        let (m, m_rest) = std::mem::take(&mut self.machines).split_at_mut(nodes);
+        self.machines = m_rest;
+        let (o, o_rest) = std::mem::take(&mut self.outputs).split_at_mut(nodes);
+        self.outputs = o_rest;
+        let (r, r_rest) = std::mem::take(&mut self.rounds).split_at_mut(nodes);
+        self.rounds = r_rest;
+        let (s, s_rest) = std::mem::take(&mut self.states).split_at_mut(nodes);
+        self.states = s_rest;
+        let (wk, wk_rest) = std::mem::take(&mut self.wakes).split_at_mut(nodes);
+        self.wakes = wk_rest;
+        let (cw, cw_rest) = std::mem::take(&mut self.chunk_wakes).split_at_mut(chunks);
+        self.chunk_wakes = cw_rest;
+        let head = NodeRegion {
+            start: self.start,
+            first_chunk: self.first_chunk,
             machines: m,
             outputs: o,
             rounds: r,
             states: s,
             wakes: wk,
             chunk_wakes: cw,
-            write: ws,
-        });
+        };
+        self.start += nodes;
+        self.first_chunk += chunks;
+        head
     }
-    regions
+}
+
+/// Executes one round over one region, visiting only chunks that are due
+/// or flagged for mail. Returns `(terminated, sent)`.
+fn step_region<P: Protocol, R: StoreRegion<P::Message>>(
+    nodes: &mut NodeRegion<'_, P>,
+    store: &mut R,
+    shared: &RoundShared<'_>,
+) -> (usize, u64) {
+    let round = shared.round;
+    let topology = &shared.topology;
+    let chunk_size = topology.chunk_size;
+    let mut terminated = 0usize;
+    let mut sent = 0u64;
+    for c in 0..nodes.chunk_wakes.len() {
+        let chunk = nodes.first_chunk + c;
+        let flag = &shared.mail_now[chunk];
+        // The owner is the only clearer; a plain load first keeps idle
+        // chunks' cache lines in the shared state.
+        let mail = flag.load(Ordering::Relaxed);
+        if mail {
+            flag.store(false, Ordering::Relaxed);
+        } else if nodes.chunk_wakes[c] > round {
+            continue;
+        }
+        store.begin_chunk(c, round);
+        let node_lo = c * chunk_size;
+        let node_hi = (node_lo + chunk_size).min(nodes.states.len());
+        let mut chunk_wake = u64::MAX;
+        for i in node_lo..node_hi {
+            if nodes.states[i] == NodeState::Done {
+                continue;
+            }
+            let v = nodes.start + i;
+            let ctx = &shared.contexts[v];
+            let due = nodes.wakes[i] <= round;
+            if !due && !mail {
+                chunk_wake = chunk_wake.min(nodes.wakes[i]);
+                continue;
+            }
+            let base = topology.offsets[v] as usize;
+            let Some((inbox, mut outbox)) = store.open(topology, base, ctx.degree, round, due)
+            else {
+                chunk_wake = chunk_wake.min(nodes.wakes[i]);
+                continue;
+            };
+            if let Some(checker) = shared.checker {
+                for p in 0..ctx.degree {
+                    checker.record_read(topology.rev[base + p] as usize, round);
+                }
+            }
+            let Some(machine) = nodes.machines[i].as_mut() else {
+                unreachable!("a node in the Running state has a machine")
+            };
+            let decided = machine.step(ctx, round, &inbox, &mut outbox);
+            let wrote = outbox.sent();
+            if wrote > 0 {
+                sent += wrote as u64;
+                store.sent_ports(base, ctx.degree, |p| {
+                    if let Some(checker) = shared.checker {
+                        checker.record_write(base + p, round, chunk);
+                    }
+                    let w = topology.adjacency[base + p] as usize;
+                    shared.mail_next[w / chunk_size].store(true, Ordering::Relaxed);
+                });
+            }
+            if let Some(output) = decided {
+                nodes.outputs[i] = Some(output);
+                nodes.rounds[i] = round as u32;
+                nodes.machines[i] = None;
+                nodes.states[i] = NodeState::Done;
+                terminated += 1;
+            } else {
+                let wake = machine.next_wake(ctx, round).max(round + 1);
+                nodes.wakes[i] = wake;
+                chunk_wake = chunk_wake.min(wake);
+            }
+        }
+        nodes.chunk_wakes[c] = chunk_wake;
+    }
+    (terminated, sent)
 }
 
 /// Runs a protocol on every node of `tree` until all nodes terminate,
@@ -1040,7 +1217,7 @@ where
 fn run_sync_inner<P, F>(
     tree: &Tree,
     ids: &Ids,
-    mut factory: F,
+    factory: F,
     max_rounds: u64,
     config: &EngineConfig,
     ambient_n: usize,
@@ -1049,12 +1226,62 @@ where
     P: Protocol,
     F: FnMut(&NodeContext) -> P,
 {
+    run_rounds(tree, ids, factory, max_rounds, config, ambient_n, |setup| {
+        let slots = setup.topology.adjacency.len();
+        Ok(SlotStore {
+            arenas: [vec![None; slots], vec![None; slots]],
+            bounds: [0, setup.tree.node_count()],
+        })
+    })
+}
+
+/// The round scheduler behind every chunked executor: runs `factory`'s
+/// protocol on every node of `tree` over the [`ArenaStore`] that `store`
+/// builds, with nodes seeing `ambient_n` as the network size.
+///
+/// Every scheduling decision lives here, once: a node is stepped only
+/// when its wake hint is due or mail is waiting, chunks are visited only
+/// when flagged or due, quiet rounds are fast-forwarded to the earliest
+/// wake, and each pass's worker regions run inline (one region) or on
+/// scoped threads. The store decides only where messages live, so every
+/// store yields the same outputs, rounds, profile and message count.
+///
+/// # Errors
+///
+/// The store's error type: [`RunError::RoundLimitExceeded`] if any node
+/// is still running after `max_rounds` rounds, or whatever `store` and
+/// [`ArenaStore::begin_pass`] report.
+///
+/// # Panics
+///
+/// Panics if `ids` does not cover all nodes, or if a worker thread panics
+/// (protocol panics propagate).
+pub fn run_rounds<P, F, S, B>(
+    tree: &Tree,
+    ids: &Ids,
+    mut factory: F,
+    max_rounds: u64,
+    config: &EngineConfig,
+    ambient_n: usize,
+    store: B,
+) -> Result<SyncOutcome<P::Output>, S::Error>
+where
+    P: Protocol,
+    F: FnMut(&NodeContext) -> P,
+    S: ArenaStore<P::Message>,
+    B: FnOnce(&StoreSetup<'_, P>) -> Result<S, S::Error>,
+{
     let n = tree.node_count();
     assert_eq!(ids.len(), n, "ID assignment must cover all nodes");
-    let offsets = tree.offsets();
-    let adjacency = tree.adjacency();
     let rev = reverse_edges(tree);
-    let slots = adjacency.len();
+    let chunk_size = config.resolved_chunk_size();
+    let workers = config.resolved_threads(n);
+    let topology = Topology {
+        offsets: tree.offsets(),
+        adjacency: tree.adjacency(),
+        rev: &rev,
+        chunk_size,
+    };
 
     let contexts: Vec<NodeContext> = tree
         .nodes()
@@ -1072,14 +1299,26 @@ where
     // Per-round termination counts: `terminated_in[r]` nodes fixed their
     // output in round `r`. One push per round, no per-node work.
     let mut terminated_in: Vec<u64> = Vec::new();
-    // The double-buffered arenas: one message slot per directed edge,
-    // allocated once, reused every round.
-    let mut arena_a: Vec<ArenaSlot<P::Message>> = vec![None; slots];
-    let mut arena_b: Vec<ArenaSlot<P::Message>> = vec![None; slots];
+    let mut store = store(&StoreSetup {
+        tree,
+        topology,
+        contexts: &contexts,
+        machines: &machines,
+        workers,
+    })?;
 
-    let chunk_size = config.resolved_chunk_size();
-    let workers = config.resolved_threads(n);
-    let bounds = region_bounds(n, chunk_size, workers);
+    // Worker cut points of every pass, computed once: chunk-aligned
+    // global node indices.
+    let passes: Vec<Vec<usize>> = store
+        .pass_bounds()
+        .windows(2)
+        .map(|w| {
+            region_bounds(w[1] - w[0], chunk_size, workers)
+                .into_iter()
+                .map(|b| w[0] + b)
+                .collect()
+        })
+        .collect();
     let chunk_count = n.div_ceil(chunk_size);
 
     // Event-driven scheduling state: everyone is due at round 0, no mail.
@@ -1092,7 +1331,7 @@ where
     // part of what it validates), so it lives outside the round loop.
     let checker = config
         .arena_check_enabled()
-        .then(|| ArenaChecker::new(offsets, n, chunk_size, slots));
+        .then(|| ArenaChecker::new(topology.offsets, n, chunk_size, topology.adjacency.len()));
 
     let mut running = n;
     let mut messages: u64 = 0;
@@ -1102,71 +1341,88 @@ where
             return Err(RunError::RoundLimitExceeded {
                 limit: max_rounds,
                 unfinished: running,
-            });
+            }
+            .into());
         }
         assert!(
             round < u64::from(u32::MAX),
             "termination rounds are recorded in u32 slots"
         );
-        // Even rounds write arena A and read arena B; odd rounds swap. The
-        // mail flags are double-buffered on the same parity.
-        let (read, write) = if round.is_multiple_of(2) {
-            (&arena_b, &mut arena_a)
-        } else {
-            (&arena_a, &mut arena_b)
-        };
+        // Mail flags are double-buffered by round parity, like the arenas.
         let (mail_now, mail_next) = if round.is_multiple_of(2) {
             (&mail_a, &mail_b)
         } else {
             (&mail_b, &mail_a)
         };
         let shared = RoundShared {
-            read,
-            rev: &rev,
-            offsets,
-            adjacency,
+            topology,
             contexts: &contexts,
-            chunk_size,
             mail_now,
             mail_next,
             round,
             checker: checker.as_ref(),
         };
-        let mut regions = split_regions(
-            &bounds,
-            offsets,
-            chunk_size,
-            &mut machines,
-            &mut outputs,
-            &mut rounds,
-            &mut states,
-            &mut wakes,
-            &mut chunk_wakes,
-            write,
-        );
-        let (terminated, sent) = if regions.len() == 1 {
-            let Some(mut region) = regions.pop() else {
-                unreachable!("regions.len() == 1")
+        let mut terminated = 0usize;
+        let mut sent = 0u64;
+        for (pass, bounds) in passes.iter().enumerate() {
+            let (lo, hi) = (bounds[0], bounds[bounds.len() - 1]);
+            let (c0, c1) = (lo / chunk_size, hi.div_ceil(chunk_size));
+            // With several passes, one with no flagged or due chunk is
+            // skipped whole (its chunk scan would visit nothing), so an
+            // idle shard is never made resident.
+            if passes.len() > 1
+                && !(c0..c1).any(|c| mail_now[c].load(Ordering::Relaxed) || chunk_wakes[c] <= round)
+            {
+                continue;
+            }
+            store.begin_pass(pass)?;
+            let mut nodes = NodeRegion {
+                start: lo,
+                first_chunk: c0,
+                machines: &mut machines[lo..hi],
+                outputs: &mut outputs[lo..hi],
+                rounds: &mut rounds[lo..hi],
+                states: &mut states[lo..hi],
+                wakes: &mut wakes[lo..hi],
+                chunk_wakes: &mut chunk_wakes[c0..c1],
             };
-            step_region(&mut region, &shared)
-        } else {
-            let shared = &shared;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = regions
-                    .into_iter()
-                    .map(|mut region| scope.spawn(move || step_region(&mut region, shared)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // Re-raise a worker panic with its original payload
-                        // instead of swallowing it behind a generic message.
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            let (t, s) = {
+                let mut regions = store.regions(&topology, pass, round, bounds);
+                if bounds.len() == 2 {
+                    let Some(mut region) = regions.next() else {
+                        unreachable!("a store yields one region per window")
+                    };
+                    step_region(&mut nodes, &mut region, &shared)
+                } else {
+                    let work: Vec<_> = bounds
+                        .windows(2)
+                        .zip(regions)
+                        .map(|(w, region)| (nodes.split_front(w[1] - w[0], chunk_size), region))
+                        .collect();
+                    let shared = &shared;
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = work
+                            .into_iter()
+                            .map(|(mut nodes, mut region)| {
+                                scope.spawn(move || step_region(&mut nodes, &mut region, shared))
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| {
+                                // Re-raise a worker panic with its original payload
+                                // instead of swallowing it behind a generic message.
+                                h.join()
+                                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                            })
+                            .fold((0usize, 0u64), |(t, c), (dt, dc)| (t + dt, c + dc))
                     })
-                    .fold((0usize, 0u64), |(t, c), (dt, dc)| (t + dt, c + dc))
-            })
-        };
+                }
+            };
+            store.end_pass(pass, round);
+            terminated += t;
+            sent += s;
+        }
         running -= terminated;
         messages += sent;
         terminated_in.push(terminated as u64);
@@ -1198,8 +1454,7 @@ where
         stats: RoundStats::new(rounds.into_iter().map(u64::from).collect()),
         profile,
         messages,
-        // Both full-tree double-buffered arenas live for the whole run.
-        peak_arena_bytes: 2 * (slots * std::mem::size_of::<ArenaSlot<P::Message>>()) as u64,
+        peak_arena_bytes: store.peak_arena_bytes(),
     })
 }
 
@@ -1934,37 +2189,6 @@ pub(crate) mod tests {
             // same parity-0 arena.
             ck.record_write(0, 4, 0);
             ck.record_read(0, 3);
-        }
-
-        #[test]
-        fn full_matrix_is_race_clean_under_checking() {
-            // A chatty protocol (every node broadcasts every round) across
-            // the full chunk-size × thread matrix with checking on: the
-            // production write path must satisfy all three invariants.
-            let n = 96;
-            let tree = lcl_graph::generators::star(n);
-            let ids = Ids::random(n, 9);
-            for chunk_size in [1, 7, 64, n] {
-                for threads in [1, 2, 3] {
-                    let out = run_sync_with(
-                        &tree,
-                        &ids,
-                        |c| MinFlood {
-                            best: c.id,
-                            budget: 4,
-                        },
-                        100,
-                        &EngineConfig {
-                            chunk_size,
-                            threads,
-                            check_arena: true,
-                            shard: None,
-                        },
-                    )
-                    .unwrap();
-                    assert!(out.outputs.iter().all(|&m| m == 0));
-                }
-            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! one presence bit per slot. Validity-by-stamp is replaced by
 //! validity-by-construction: a chunk's presence words are zeroed when the
 //! chunk is stepped, and readers consult the per-chunk *stamp* (kept by
-//! the runner, outside the arena) to know whether the surviving presence
+//! the packed store, outside the arena) to know whether the surviving presence
 //! bits are one round old or stale.
 //!
 //! # Layout
@@ -115,6 +115,7 @@ impl ArenaLayout {
 }
 
 /// The low `bits` bits set (`bits <= 64`).
+#[inline]
 fn mask64(bits: u32) -> u64 {
     if bits >= 64 {
         u64::MAX
@@ -124,6 +125,7 @@ fn mask64(bits: u32) -> u64 {
 }
 
 /// The low `bits` bits set (`bits <= 128`).
+#[inline]
 fn mask128(bits: u32) -> u128 {
     if bits >= 128 {
         u128::MAX
@@ -138,6 +140,7 @@ fn mask128(bits: u32) -> u128 {
 /// # Panics
 ///
 /// Panics (by slice indexing) if the bit range exceeds `words`.
+#[inline]
 pub fn set_bits(words: &mut [u64], bit_lo: usize, width: u32, value: u128) {
     let mut w = bit_lo / 64;
     let mut o = (bit_lo % 64) as u32;
@@ -157,6 +160,7 @@ pub fn set_bits(words: &mut [u64], bit_lo: usize, width: u32, value: u128) {
 /// Reads `width` bits at bit offset `bit_lo` of `words`; inverse of
 /// [`set_bits`]. `width = 0` reads `0`.
 #[must_use]
+#[inline]
 pub fn get_bits(words: &[u64], bit_lo: usize, width: u32) -> u128 {
     let mut w = bit_lo / 64;
     let mut o = (bit_lo % 64) as u32;
@@ -174,12 +178,14 @@ pub fn get_bits(words: &[u64], bit_lo: usize, width: u32) -> u128 {
 }
 
 /// Sets presence bit `idx`.
+#[inline]
 pub fn set_present(words: &mut [u64], idx: usize) {
     words[idx / 64] |= 1u64 << (idx % 64);
 }
 
 /// Reads presence bit `idx`.
 #[must_use]
+#[inline]
 pub fn is_present(words: &[u64], idx: usize) -> bool {
     words[idx / 64] >> (idx % 64) & 1 != 0
 }

@@ -20,10 +20,12 @@
 //!   before the source can be evicted — so *a shard pass never reads a
 //!   non-resident arena*. Halo buffers are RAM-resident for the whole run
 //!   (they cover only the cut edges).
-//! - Within a shard, the pass reuses the monolithic engine's chunked
-//!   event-driven scheduling (mail flags, wake hints, fast-forward), with
-//!   worker regions split at chunk boundaries; packed-arena chunk regions
-//!   are word-aligned so workers never share a word.
+//! - Scheduling is not this crate's business: every shard is one pass of
+//!   the engine's round scheduler ([`run_rounds`](lcl_local::engine::run_rounds)),
+//!   which owns mail flags, wake hints, fast-forward, and the worker split.
+//!   This crate supplies the packed store the scheduler reads and writes
+//!   through ([`run_sharded`]); packed-arena chunk regions are
+//!   word-aligned so workers never share a word.
 //!
 //! Correctness is pinned by differential suites demanding bit-identical
 //! outputs, per-node rounds, and termination profiles against the

@@ -4,7 +4,7 @@
 //! A [`ShardPlan`] is pure geometry: it depends on the tree, the chunk
 //! size, and the requested shard count — never on the message type or the
 //! arena width. Shard boundaries align to scheduling-chunk boundaries
-//! (via [`region_bounds`]), so the monolithic engine's chunk-granular
+//! (via [`region_bounds`]), so the round scheduler's chunk-granular
 //! scheduling state (mail flags, chunk wakes) maps one-to-one onto shards
 //! and the intra-shard worker split can reuse the same cut points.
 //!

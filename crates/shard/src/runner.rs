@@ -1,55 +1,52 @@
-//! The sharded round loop: resident-shard passes stitched by halo
-//! exchange, bit-identical to the monolithic engine.
+//! The packed store: sharded, bit-packed, spillable message storage for
+//! the engine's round scheduler.
 //!
-//! [`run_sharded`] mirrors `lcl_local::engine`'s event-driven scheduling
-//! decision for decision — the same chunk mail flags, per-node wake hints,
-//! per-chunk wake minima, and quiet-round fast-forward — so outputs,
-//! per-node termination rounds, termination profiles, and message counts
-//! are all *bit-identical* to `run_sync_with` for every shard count,
-//! residency limit, packing mode, and thread count (the shard differential
-//! suite pins this).
+//! [`run_sharded`] runs the same round scheduler as the monolithic engine
+//! ([`run_rounds`]), so every scheduling decision — mail flags, wake
+//! hints, chunk wake minima, quiet-round fast-forward, worker dispatch —
+//! is shared, and outputs, per-node termination rounds, termination
+//! profiles, and message counts are *bit-identical* to `run_sync_with`
+//! for every shard count, residency limit, packing mode, and thread
+//! count (the shard differential suite pins this). `PackedStore`
+//! decides only where messages live:
 //!
-//! Differences are confined to storage:
-//!
-//! - Message slots live in per-shard bit-packed arenas
-//!   ([`PackedArena`]) instead of `Option<(u32, M)>` slots. The
-//!   monolithic engine's delivery-round stamps become per-chunk *round
-//!   stamps* (`chunk_stamp`): a chunk's write-parity presence words are
-//!   zeroed when the chunk is stepped, so a presence bit proves the
-//!   message was written in the round recorded by the owning chunk's
-//!   stamp, and a read is valid exactly when that stamp is the previous
-//!   round — the same predicate the monolithic per-slot stamps encode.
+//! - Every shard is one scheduler pass. Its message slots live in a
+//!   bit-packed arena ([`PackedArena`]) instead of `Option<(u32, M)>`
+//!   slots. The slot store's delivery-round stamps become per-chunk
+//!   *round stamps*: a chunk's write-parity presence words are zeroed when
+//!   the chunk begins, so a presence bit proves the message was written in
+//!   the round recorded by the owning chunk's stamp, and a read is valid
+//!   exactly when that stamp is the previous round — the same predicate the
+//!   per-slot stamps encode.
 //! - At most `max_resident` shard arena sets stay in memory; the rest
-//!   spill to a per-run [`SpillPool`] under LRU replacement. Halo buffers,
-//!   machines, and the per-node bookkeeping stay resident.
+//!   spill to a per-run [`SpillPool`] under LRU replacement. Halo buffers
+//!   stay resident, like the scheduler's per-node bookkeeping.
 //! - A message crossing a shard boundary is mirrored into the destination
-//!   shard's halo buffer by `capture_halos` at the end of the source
-//!   shard's pass, *before* the source can be evicted; a shard pass
-//!   therefore never touches a non-resident arena. `halo_stamp` plays the
-//!   per-chunk stamp's role for halo slots (one stamp per shard, since
-//!   halo parities are cleared wholesale every executed round).
+//!   shard's halo buffer when the source shard's pass ends, *before* the
+//!   source can be evicted; a pass therefore never touches a non-resident
+//!   arena. `halo_stamp` plays the chunk stamp's role for halo slots: a
+//!   halo parity is cleared by the first capture into it in a round.
 //!
-//! The per-round hot path is `shard_pass` (the intra-shard worker pass)
-//! and `capture_halos`; neither allocates nor performs I/O — arenas,
-//! halo buffers, decode scratch, and the spill file are all set up at run
-//! start (`lcl analyze` rule `LCL-A04` keeps this lexical).
+//! The per-round hot path is the [`StoreRegion`] impl and `end_pass`;
+//! neither allocates nor performs I/O — arenas, halo buffers, decode
+//! scratch, and the spill file are all set up at run start (`lcl analyze`
+//! hot-path rules keep this lexical). Spill I/O happens only in
+//! `begin_pass`, between passes.
 
 use crate::arena::{
     get_bits, is_present, set_bits, set_present, ArenaLayout, HaloBuffers, PackedArena,
 };
-use crate::partition::{ShardInfo, ShardPlan};
+use crate::partition::{ChunkMeta, ShardPlan};
 use crate::pool::SpillPool;
 use lcl_graph::Tree;
 use lcl_local::engine::{
-    region_bounds, reverse_edges, EngineConfig, Inbox, NodeContext, Outbox, Protocol, RunError,
-    SyncOutcome,
+    run_rounds, ArenaStore, EngineConfig, Inbox, NodeContext, Outbox, Protocol, RunError,
+    ShardConfig, StoreRegion, StoreSetup, SyncOutcome, Topology,
 };
 use lcl_local::identifiers::Ids;
-use lcl_local::metrics::{RoundStats, TerminationProfile};
 use lcl_local::packed::PackableMessage;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Errors from [`run_sharded`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +81,7 @@ fn io_err(e: std::io::Error) -> ShardError {
 }
 
 /// Per-worker decode/encode scratch, preallocated to the maximum degree so
-/// the pass never reallocates.
+/// a pass never reallocates.
 struct Scratch<M> {
     inbox: Vec<(usize, M)>,
     outbox: Vec<(usize, M)>,
@@ -98,325 +95,6 @@ fn push_preallocated<T>(buf: &mut Vec<T>, item: T) {
         "scratch must be preallocated to the maximum degree"
     );
     buf.push(item);
-}
-
-/// Round-constant state shared (read-only) by all workers of one shard
-/// pass.
-struct PassShared<'a, M> {
-    round: u64,
-    /// `round - 1`; only meaningful when `has_prev`.
-    prev: u64,
-    has_prev: bool,
-    chunk_size: usize,
-    width: u32,
-    /// Write-discipline checking (double-write detection) on.
-    check: bool,
-    shard_lo: usize,
-    shard_hi: usize,
-    shard_first_chunk: usize,
-    chunks: &'a [crate::partition::ChunkMeta],
-    layout: &'a ArenaLayout,
-    halo_edges: &'a [u32],
-    /// Read-parity packed/presence words of this shard's arena.
-    packed_r: &'a [u64],
-    pres_r: &'a [u64],
-    /// Global per-chunk round stamps, read parity.
-    stamp_r: &'a [u64],
-    /// Read-parity halo words of this shard; valid only if `halo_valid`.
-    halo_packed_r: &'a [u64],
-    halo_pres_r: &'a [u64],
-    halo_valid: bool,
-    offsets: &'a [u32],
-    adjacency: &'a [u32],
-    rev: &'a [u32],
-    contexts: &'a [NodeContext],
-    /// Global per-chunk mail flags, current and next parity.
-    mail_now: &'a [AtomicBool],
-    mail_next: &'a [AtomicBool],
-    _marker: std::marker::PhantomData<M>,
-}
-
-/// One worker's disjoint slice of a shard pass: a chunk-aligned node
-/// range with the matching write-arena word regions.
-struct PassRegion<'a, P: Protocol> {
-    /// Global index of the region's first node.
-    start: usize,
-    /// Region's first chunk, relative to the shard.
-    first_chunk_rel: usize,
-    machines: &'a mut [Option<P>],
-    outputs: &'a mut [Option<P::Output>],
-    rounds: &'a mut [u32],
-    wakes: &'a mut [u64],
-    chunk_wakes: &'a mut [u64],
-    /// Write-parity per-chunk round stamps for the region's chunks.
-    stamp_w: &'a mut [u64],
-    /// Write-parity packed/presence words for the region's chunks.
-    words_w: &'a mut [u64],
-    pres_w: &'a mut [u64],
-    /// Word offsets of `words_w`/`pres_w` within the shard arena.
-    word_off: usize,
-    pres_off: usize,
-    scratch: &'a mut Scratch<P::Message>,
-}
-
-/// Executes one round over one region of one shard: the sharded analog of
-/// the monolithic engine's `step_region`, with packed-arena decode/encode
-/// in place of slot gathers. Returns `(terminated, sent)`.
-///
-/// Hot path: no allocation, no I/O, no locks (`LCL-A04`).
-fn shard_pass<P>(region: PassRegion<'_, P>, shared: &PassShared<'_, P::Message>) -> (usize, u64)
-where
-    P: Protocol,
-    P::Message: PackableMessage,
-{
-    let PassRegion {
-        start,
-        first_chunk_rel,
-        machines,
-        outputs,
-        rounds,
-        wakes,
-        chunk_wakes,
-        stamp_w,
-        words_w,
-        pres_w,
-        word_off,
-        pres_off,
-        scratch,
-    } = region;
-    let round = shared.round;
-    let width = shared.width;
-    let mut terminated = 0usize;
-    let mut sent = 0u64;
-    for cl in 0..chunk_wakes.len() {
-        let crel = first_chunk_rel + cl;
-        let gc = shared.shard_first_chunk + crel;
-        let flag = &shared.mail_now[gc];
-        // The owner is the only clearer; a plain load first keeps idle
-        // chunks' cache lines in the shared state.
-        let mail = flag.load(Ordering::Relaxed);
-        if mail {
-            flag.store(false, Ordering::Relaxed);
-        } else if chunk_wakes[cl] > round {
-            continue;
-        }
-        let cm = &shared.chunks[crel];
-        let wr = shared.layout.word_range(crel);
-        let cwords = &mut words_w[wr.start - word_off..wr.end - word_off];
-        let pr = shared.layout.pres_range(crel);
-        let cpres = &mut pres_w[pr.start - pres_off..pr.end - pres_off];
-        // Stepping this chunk invalidates its previous write-parity
-        // contents wholesale (the monolithic engine's per-slot stamps
-        // expire stale slots lazily instead; same observable).
-        for w in cpres.iter_mut() {
-            *w = 0;
-        }
-        stamp_w[cl] = round;
-        let mut chunk_wake = u64::MAX;
-        for v in cm.node_lo..cm.node_hi {
-            let i = v - start;
-            if machines[i].is_none() {
-                continue;
-            }
-            let base = shared.offsets[v] as usize;
-            let ctx = &shared.contexts[v];
-            let due = wakes[i] <= round;
-            if !due && !mail {
-                chunk_wake = chunk_wake.min(wakes[i]);
-                continue;
-            }
-            // Decode this round's valid incoming messages. A slot is
-            // valid iff its owner chunk (or the halo parity, for cut
-            // edges) was written exactly last round and the presence bit
-            // survived — the packed equivalent of `stamp == expect`.
-            scratch.inbox.clear();
-            for p in 0..ctx.degree {
-                let e = base + p;
-                let w = shared.adjacency[e] as usize;
-                if w >= shared.shard_lo && w < shared.shard_hi {
-                    let wc = w / shared.chunk_size;
-                    if !shared.has_prev || shared.stamp_r[wc] != shared.prev {
-                        continue;
-                    }
-                    let wrel = wc - shared.shard_first_chunk;
-                    let srel = shared.rev[e] as usize - shared.chunks[wrel].slot_base;
-                    let wpr = shared.layout.pres_range(wrel);
-                    if !is_present(&shared.pres_r[wpr], srel) {
-                        continue;
-                    }
-                    let wwr = shared.layout.word_range(wrel);
-                    let bits = get_bits(&shared.packed_r[wwr], srel * width as usize, width);
-                    push_preallocated(&mut scratch.inbox, (p, P::Message::unpack(bits)));
-                } else if shared.halo_valid {
-                    let h = match shared.halo_edges.binary_search(&(e as u32)) {
-                        Ok(h) => h,
-                        Err(_) => unreachable!("cross-shard edges are in the halo list"),
-                    };
-                    if is_present(shared.halo_pres_r, h) {
-                        let bits = get_bits(shared.halo_packed_r, h * width as usize, width);
-                        push_preallocated(&mut scratch.inbox, (p, P::Message::unpack(bits)));
-                    }
-                }
-            }
-            let stepping = due || !scratch.inbox.is_empty();
-            if !stepping {
-                chunk_wake = chunk_wake.min(wakes[i]);
-                continue;
-            }
-            scratch.outbox.clear();
-            let decided = {
-                let inbox = Inbox::list(&scratch.inbox);
-                let mut outbox = Outbox::list(&mut scratch.outbox, ctx.degree);
-                let Some(machine) = machines[i].as_mut() else {
-                    unreachable!("a running node has a machine")
-                };
-                machine.step(ctx, round, &inbox, &mut outbox)
-            };
-            let wrote = scratch.outbox.len();
-            if wrote > 0 {
-                sent += wrote as u64;
-                for k in 0..wrote {
-                    let (p, ref msg) = scratch.outbox[k];
-                    let e = base + p;
-                    let srel = e - cm.slot_base;
-                    if shared.check {
-                        assert!(
-                            !is_present(cpres, srel),
-                            "double write to arena slot {e} in round {round}"
-                        );
-                    }
-                    set_present(cpres, srel);
-                    let bits = msg.pack();
-                    let need = 128 - bits.leading_zeros();
-                    assert!(
-                        need <= width,
-                        "message_bits hint too narrow: a packed message needs \
-                         {need} bits but the arena width is {width}"
-                    );
-                    set_bits(cwords, srel * width as usize, width, bits);
-                    let dest = shared.adjacency[e] as usize;
-                    shared.mail_next[dest / shared.chunk_size].store(true, Ordering::Relaxed);
-                }
-            }
-            if let Some(output) = decided {
-                outputs[i] = Some(output);
-                rounds[i] = round as u32;
-                machines[i] = None;
-                terminated += 1;
-            } else {
-                let Some(machine) = machines[i].as_ref() else {
-                    unreachable!("a running node has a machine")
-                };
-                let wake = machine.next_wake(ctx, round).max(round + 1);
-                wakes[i] = wake;
-                chunk_wake = chunk_wake.min(wake);
-            }
-        }
-        chunk_wakes[cl] = chunk_wake;
-    }
-    (terminated, sent)
-}
-
-/// Mirrors this round's boundary-crossing messages of shard `src` into
-/// the destination shards' halo buffers (write parity `wp`). Runs on the
-/// main thread at the end of the shard's pass, before any eviction.
-///
-/// Hot path: no allocation, no I/O (`LCL-A04`).
-#[allow(clippy::too_many_arguments)]
-fn capture_halos(
-    src: &ShardInfo,
-    layout: &ArenaLayout,
-    packed_w: &[u64],
-    pres_w: &[u64],
-    stamp_w: &[u64],
-    round: u64,
-    width: u32,
-    wp: usize,
-    halos: &mut [HaloBuffers],
-) {
-    for route in &src.outgoing {
-        let gc = src.first_chunk + route.chunk_rel;
-        // Only chunks stepped this round hold fresh write-parity data.
-        if stamp_w[gc] != round {
-            continue;
-        }
-        let pr = layout.pres_range(route.chunk_rel);
-        if !is_present(&pres_w[pr], route.slot_rel) {
-            continue;
-        }
-        let wr = layout.word_range(route.chunk_rel);
-        let bits = get_bits(&packed_w[wr], route.slot_rel * width as usize, width);
-        halos[route.dest_shard].put(wp, route.dest_halo, bits);
-    }
-}
-
-/// Splits one shard's mutable state into per-worker [`PassRegion`]s,
-/// chunk-aligned (so the packed/presence word regions are disjoint whole
-/// words).
-#[allow(clippy::too_many_arguments)]
-fn split_shard_regions<'a, P: Protocol>(
-    shard: &ShardInfo,
-    layout: &ArenaLayout,
-    chunk_size: usize,
-    workers: usize,
-    mut machines: &'a mut [Option<P>],
-    mut outputs: &'a mut [Option<P::Output>],
-    mut rounds: &'a mut [u32],
-    mut wakes: &'a mut [u64],
-    mut chunk_wakes: &'a mut [u64],
-    mut stamp_w: &'a mut [u64],
-    mut words_w: &'a mut [u64],
-    mut pres_w: &'a mut [u64],
-    scratches: &'a mut [Scratch<P::Message>],
-) -> Vec<PassRegion<'a, P>> {
-    let bounds = region_bounds(shard.node_count(), chunk_size, workers);
-    let mut regions = Vec::with_capacity(bounds.len() - 1);
-    let mut chunk_at = 0usize;
-    let mut scratch_iter = scratches.iter_mut();
-    for w in bounds.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        let nodes = hi - lo;
-        let chunks = nodes.div_ceil(chunk_size);
-        let (c0, c1) = (chunk_at, chunk_at + chunks);
-        chunk_at = c1;
-        let words = layout.word_span(c0, c1);
-        let pres = layout.pres_span(c0, c1);
-        let (m, m_rest) = std::mem::take(&mut machines).split_at_mut(nodes);
-        machines = m_rest;
-        let (o, o_rest) = std::mem::take(&mut outputs).split_at_mut(nodes);
-        outputs = o_rest;
-        let (r, r_rest) = std::mem::take(&mut rounds).split_at_mut(nodes);
-        rounds = r_rest;
-        let (wk, wk_rest) = std::mem::take(&mut wakes).split_at_mut(nodes);
-        wakes = wk_rest;
-        let (cw, cw_rest) = std::mem::take(&mut chunk_wakes).split_at_mut(chunks);
-        chunk_wakes = cw_rest;
-        let (st, st_rest) = std::mem::take(&mut stamp_w).split_at_mut(chunks);
-        stamp_w = st_rest;
-        let (ww, ww_rest) = std::mem::take(&mut words_w).split_at_mut(words.len());
-        words_w = ww_rest;
-        let (pw, pw_rest) = std::mem::take(&mut pres_w).split_at_mut(pres.len());
-        pres_w = pw_rest;
-        let Some(scratch) = scratch_iter.next() else {
-            unreachable!("one scratch per worker region")
-        };
-        regions.push(PassRegion {
-            start: shard.lo + lo,
-            first_chunk_rel: c0,
-            machines: m,
-            outputs: o,
-            rounds: r,
-            wakes: wk,
-            chunk_wakes: cw,
-            stamp_w: st,
-            words_w: ww,
-            pres_w: pw,
-            word_off: words.start,
-            pres_off: pres.start,
-            scratch,
-        });
-    }
-    regions
 }
 
 /// LRU residency manager over the per-shard packed arenas, with spill to
@@ -477,18 +155,392 @@ impl Residency {
     }
 }
 
+/// The packed arena width of a run: the maximum `message_bits` hint when
+/// `packing` is on and every node hints, the message type's declared
+/// ceiling otherwise.
+fn arena_width<P>(machines: &[Option<P>], contexts: &[NodeContext], packing: bool) -> u32
+where
+    P: Protocol,
+    P::Message: PackableMessage,
+{
+    assert!(
+        P::Message::CEIL_BITS <= 128,
+        "PackableMessage ceilings are capped at 128 bits"
+    );
+    if !packing {
+        return P::Message::CEIL_BITS;
+    }
+    let mut hinted = 0u32;
+    for (m, ctx) in machines.iter().zip(contexts) {
+        let Some(machine) = m.as_ref() else {
+            unreachable!("machines start populated")
+        };
+        match machine.message_bits(ctx) {
+            Some(b) => hinted = hinted.max(b),
+            None => return P::Message::CEIL_BITS,
+        }
+    }
+    hinted.min(P::Message::CEIL_BITS)
+}
+
+/// The sharded [`ArenaStore`]: one scheduler pass per shard of a
+/// [`ShardPlan`], bit-packed double-buffered arenas with LRU residency
+/// and spill, and halo buffers for the cut edges.
+struct PackedStore<M> {
+    plan: ShardPlan,
+    width: u32,
+    layouts: Vec<ArenaLayout>,
+    residency: Residency,
+    /// Per-chunk round stamps by arena parity: the round in which the
+    /// chunk's write-parity presence words were last rewritten.
+    stamps: [Vec<u64>; 2],
+    halos: Vec<HaloBuffers>,
+    /// Per-shard halo stamps by parity: the round whose captures the
+    /// parity holds.
+    halo_stamp: [Vec<u64>; 2],
+    halo_bytes: u64,
+    /// One decode/encode scratch per worker.
+    scratches: Vec<Scratch<M>>,
+}
+
+impl<M> PackedStore<M> {
+    /// Plans `tree` into shards per `cfg` at `chunk_size` and allocates
+    /// halo buffers, decode scratch for `workers` workers, and — when the
+    /// residency limit is below the plan's shard count — the spill pool.
+    /// Arenas of `width` bits per slot are created on first residency.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::Io`] if the spill pool cannot be created.
+    fn new(
+        tree: &Tree,
+        rev: &[u32],
+        chunk_size: usize,
+        workers: usize,
+        width: u32,
+        cfg: &ShardConfig,
+    ) -> Result<Self, ShardError> {
+        let plan = ShardPlan::new(tree, chunk_size, cfg.resolved_shards(), rev);
+        let shard_count = plan.shard_count();
+        let max_resident = cfg.resolved_max_resident(shard_count);
+        let layouts: Vec<ArenaLayout> = plan
+            .shards
+            .iter()
+            .map(|s| ArenaLayout::new(&s.chunks, width))
+            .collect();
+        let halos: Vec<HaloBuffers> = plan
+            .shards
+            .iter()
+            .map(|s| HaloBuffers::zeroed(s.halo_edges.len(), width))
+            .collect();
+        let halo_bytes = halos.iter().map(HaloBuffers::bytes).sum();
+        let shard_bytes: Vec<u64> = layouts.iter().map(ArenaLayout::bytes).collect();
+        let pool = if max_resident < shard_count {
+            Some(SpillPool::create(&shard_bytes).map_err(io_err)?)
+        } else {
+            None
+        };
+        let chunk_count = tree.node_count().div_ceil(chunk_size);
+        let max_degree = tree.max_degree();
+        Ok(PackedStore {
+            width,
+            layouts,
+            residency: Residency {
+                resident: (0..shard_count).map(|_| None).collect(),
+                lru: Vec::with_capacity(shard_count),
+                max_resident,
+                pool,
+                shard_bytes,
+                current_bytes: 0,
+                peak_bytes: 0,
+            },
+            stamps: [vec![u64::MAX; chunk_count], vec![u64::MAX; chunk_count]],
+            halos,
+            halo_stamp: [vec![u64::MAX; shard_count], vec![u64::MAX; shard_count]],
+            halo_bytes,
+            scratches: (0..workers)
+                .map(|_| Scratch {
+                    inbox: Vec::with_capacity(max_degree),
+                    outbox: Vec::with_capacity(max_degree),
+                })
+                .collect(),
+            plan,
+        })
+    }
+}
+
+/// The read side of one shard pass, shared by its regions.
+#[derive(Clone, Copy)]
+struct PassView<'a> {
+    width: u32,
+    shard_lo: usize,
+    shard_hi: usize,
+    shard_first_chunk: usize,
+    chunks: &'a [ChunkMeta],
+    layout: &'a ArenaLayout,
+    halo_edges: &'a [u32],
+    /// Read-parity packed/presence words of this shard's arena.
+    packed_r: &'a [u64],
+    pres_r: &'a [u64],
+    /// Global per-chunk round stamps, read parity.
+    stamp_r: &'a [u64],
+    /// Read-parity halo words of this shard; valid only if `halo_valid`.
+    halo_packed_r: &'a [u64],
+    halo_pres_r: &'a [u64],
+    halo_valid: bool,
+}
+
+/// One worker's share of a shard pass: a chunk-aligned node range with
+/// the matching write-arena word regions.
+struct PackedRegion<'a, M> {
+    view: PassView<'a>,
+    /// Region's first chunk, relative to the shard.
+    first_chunk_rel: usize,
+    /// Of the chunk being visited: its first CSR slot, and the bit offsets
+    /// of its packed and presence regions in `words_w`/`pres_w`.
+    slot_base: usize,
+    word_bit0: usize,
+    pres_bit0: usize,
+    /// Write-parity per-chunk round stamps for the region's chunks.
+    stamp_w: &'a mut [u64],
+    /// Write-parity packed/presence words for the region's chunks.
+    words_w: &'a mut [u64],
+    pres_w: &'a mut [u64],
+    /// Word offsets of `words_w`/`pres_w` within the shard arena.
+    word_off: usize,
+    pres_off: usize,
+    scratch: &'a mut Scratch<M>,
+}
+
+impl<M: PackableMessage + Send + Sync> ArenaStore<M> for PackedStore<M> {
+    type Error = ShardError;
+    type Region<'a>
+        = PackedRegion<'a, M>
+    where
+        Self: 'a;
+
+    fn pass_bounds(&self) -> &[usize] {
+        &self.plan.bounds
+    }
+
+    fn begin_pass(&mut self, pass: usize) -> Result<(), ShardError> {
+        self.residency.ensure(pass, &self.layouts)
+    }
+
+    fn regions<'a>(
+        &'a mut self,
+        _topology: &'a Topology<'a>,
+        pass: usize,
+        round: u64,
+        bounds: &'a [usize],
+    ) -> impl Iterator<Item = PackedRegion<'a, M>> {
+        // Even rounds write parity 0 and read parity 1; odd rounds swap.
+        let wp = usize::from(!round.is_multiple_of(2));
+        let rp = wp ^ 1;
+        let shard = &self.plan.shards[pass];
+        let chunk_size = self.plan.chunk_size;
+        let layout = &self.layouts[pass];
+        let Some(buffers) = self.residency.resident[pass].as_mut() else {
+            unreachable!("begin_pass made shard {pass} resident")
+        };
+        let (mut words_w, mut pres_w, packed_r, pres_r) = buffers.parity_mut(wp);
+        let [s0, s1] = &mut self.stamps;
+        let (stamp_w, stamp_r) = if wp == 0 { (s0, &*s1) } else { (s1, &*s0) };
+        let gc0 = shard.first_chunk;
+        let mut stamp_w = &mut stamp_w[gc0..gc0 + shard.chunks.len()];
+        let view = PassView {
+            width: self.width,
+            shard_lo: shard.lo,
+            shard_hi: shard.hi,
+            shard_first_chunk: gc0,
+            chunks: &shard.chunks,
+            layout,
+            halo_edges: &shard.halo_edges,
+            packed_r,
+            pres_r,
+            stamp_r,
+            halo_packed_r: &self.halos[pass].packed[rp],
+            halo_pres_r: &self.halos[pass].present[rp],
+            halo_valid: round > 0 && self.halo_stamp[rp][pass] == round - 1,
+        };
+        let mut scratches = self.scratches.iter_mut();
+        bounds.windows(2).map(move |w| {
+            let c0 = (w[0] - shard.lo) / chunk_size;
+            let chunks = (w[1] - w[0]).div_ceil(chunk_size);
+            let words = layout.word_span(c0, c0 + chunks);
+            let pres = layout.pres_span(c0, c0 + chunks);
+            let (st, st_rest) = std::mem::take(&mut stamp_w).split_at_mut(chunks);
+            stamp_w = st_rest;
+            let (ww, ww_rest) = std::mem::take(&mut words_w).split_at_mut(words.len());
+            words_w = ww_rest;
+            let (pw, pw_rest) = std::mem::take(&mut pres_w).split_at_mut(pres.len());
+            pres_w = pw_rest;
+            let Some(scratch) = scratches.next() else {
+                unreachable!("one scratch per worker region")
+            };
+            PackedRegion {
+                view,
+                first_chunk_rel: c0,
+                slot_base: 0,
+                word_bit0: 0,
+                pres_bit0: 0,
+                stamp_w: st,
+                words_w: ww,
+                pres_w: pw,
+                word_off: words.start,
+                pres_off: pres.start,
+                scratch,
+            }
+        })
+    }
+
+    /// Mirrors this pass's boundary-crossing messages into the
+    /// destination shards' halo buffers while the shard is guaranteed
+    /// resident.
+    fn end_pass(&mut self, pass: usize, round: u64) {
+        let wp = usize::from(!round.is_multiple_of(2));
+        let src = &self.plan.shards[pass];
+        let layout = &self.layouts[pass];
+        let stamps = &self.stamps[wp][src.first_chunk..];
+        let width = self.width;
+        let Some(buffers) = self.residency.resident[pass].as_ref() else {
+            unreachable!("a pass does not evict its own shard")
+        };
+        let (packed_w, pres_w) = (&buffers.packed[wp], &buffers.present[wp]);
+        for route in &src.outgoing {
+            // Only chunks stepped this round hold fresh write-parity data.
+            if stamps[route.chunk_rel] != round {
+                continue;
+            }
+            let pr = layout.pres_range(route.chunk_rel);
+            if !is_present(&pres_w[pr], route.slot_rel) {
+                continue;
+            }
+            let wr = layout.word_range(route.chunk_rel);
+            let bits = get_bits(&packed_w[wr], route.slot_rel * width as usize, width);
+            let dest = route.dest_shard;
+            // The first capture into a halo parity in a round clears it.
+            if self.halo_stamp[wp][dest] != round {
+                self.halos[dest].clear_parity(wp);
+                self.halo_stamp[wp][dest] = round;
+            }
+            self.halos[dest].put(wp, route.dest_halo, bits);
+        }
+    }
+
+    fn peak_arena_bytes(&self) -> u64 {
+        self.residency.peak_bytes + self.halo_bytes
+    }
+}
+
+impl<M: PackableMessage> StoreRegion<M> for PackedRegion<'_, M> {
+    /// Stepping a chunk invalidates its previous write-parity contents
+    /// wholesale (the slot store's per-slot stamps expire stale slots
+    /// lazily instead; same observable).
+    fn begin_chunk(&mut self, chunk: usize, round: u64) {
+        let crel = self.first_chunk_rel + chunk;
+        let layout = self.view.layout;
+        let pr = layout.pres_range(crel);
+        for w in &mut self.pres_w[pr.start - self.pres_off..pr.end - self.pres_off] {
+            *w = 0;
+        }
+        self.stamp_w[chunk] = round;
+        self.slot_base = self.view.chunks[crel].slot_base;
+        self.word_bit0 = (layout.word_range(crel).start - self.word_off) * 64;
+        self.pres_bit0 = (pr.start - self.pres_off) * 64;
+    }
+
+    /// Decodes this round's valid incoming messages. A slot is valid iff
+    /// its owner chunk (or the halo parity, for cut edges) was written
+    /// exactly last round and the presence bit survived — the packed
+    /// equivalent of the slot store's `stamp == round`.
+    #[inline]
+    fn open<'s>(
+        &'s mut self,
+        topology: &Topology<'s>,
+        base: usize,
+        degree: usize,
+        round: u64,
+        due: bool,
+    ) -> Option<(Inbox<'s, M>, Outbox<'s, M>)> {
+        let view = &self.view;
+        let width = view.width;
+        let scratch = &mut *self.scratch;
+        scratch.inbox.clear();
+        for p in 0..degree {
+            let e = base + p;
+            let w = topology.adjacency[e] as usize;
+            if w >= view.shard_lo && w < view.shard_hi {
+                let wc = w / topology.chunk_size;
+                if round == 0 || view.stamp_r[wc] != round - 1 {
+                    continue;
+                }
+                let wrel = wc - view.shard_first_chunk;
+                let srel = topology.rev[e] as usize - view.chunks[wrel].slot_base;
+                if !is_present(&view.pres_r[view.layout.pres_range(wrel)], srel) {
+                    continue;
+                }
+                let words = &view.packed_r[view.layout.word_range(wrel)];
+                let bits = get_bits(words, srel * width as usize, width);
+                push_preallocated(&mut scratch.inbox, (p, M::unpack(bits)));
+            } else if view.halo_valid {
+                let h = match view.halo_edges.binary_search(&(e as u32)) {
+                    Ok(h) => h,
+                    Err(_) => unreachable!("cross-shard edges are in the halo list"),
+                };
+                if is_present(view.halo_pres_r, h) {
+                    let bits = get_bits(view.halo_packed_r, h * width as usize, width);
+                    push_preallocated(&mut scratch.inbox, (p, M::unpack(bits)));
+                }
+            }
+        }
+        if !due && scratch.inbox.is_empty() {
+            return None;
+        }
+        scratch.outbox.clear();
+        Some((
+            Inbox::list(&scratch.inbox),
+            Outbox::list(&mut scratch.outbox, degree),
+        ))
+    }
+
+    /// Encodes the node's sends into the chunk's write-parity words.
+    #[inline]
+    fn sent_ports(&mut self, base: usize, _degree: usize, mut sent_on: impl FnMut(usize)) {
+        let width = self.view.width;
+        for (p, msg) in &self.scratch.outbox {
+            let srel = base + p - self.slot_base;
+            set_present(self.pres_w, self.pres_bit0 + srel);
+            let bits = msg.pack();
+            let need = 128 - bits.leading_zeros();
+            assert!(
+                need <= width,
+                "message_bits hint too narrow: a packed message needs \
+                 {need} bits but the arena width is {width}"
+            );
+            set_bits(
+                self.words_w,
+                self.word_bit0 + srel * width as usize,
+                width,
+                bits,
+            );
+            sent_on(*p);
+        }
+    }
+}
+
 /// Runs `factory`'s protocol on every node of `tree` with the partitioned
-/// out-of-core executor. Same contract as
+/// out-of-core executor: the engine's round scheduler over a
+/// packed store. Same contract as
 /// [`run_sync_with`](lcl_local::engine::run_sync_with), whose outcome this
 /// function reproduces bit-identically (outputs, per-node rounds,
-/// termination profile, message count) for every
-/// [`ShardConfig`](lcl_local::engine::ShardConfig);
+/// termination profile, message count) for every [`ShardConfig`];
 /// [`SyncOutcome::peak_arena_bytes`] reports the sharded high-water mark
 /// instead of the monolithic two-full-arena figure.
 ///
 /// The shard geometry comes from `config.shard` (a missing config means
 /// one shard, everything resident — the monolithic layout, but through
-/// the packed-arena code path).
+/// the packed store).
 ///
 /// # Errors
 ///
@@ -503,7 +555,7 @@ impl Residency {
 pub fn run_sharded<P, F>(
     tree: &Tree,
     ids: &Ids,
-    mut factory: F,
+    factory: F,
     max_rounds: u64,
     config: &EngineConfig,
 ) -> Result<SyncOutcome<P::Output>, ShardError>
@@ -512,282 +564,89 @@ where
     P::Message: PackableMessage,
     F: FnMut(&NodeContext) -> P,
 {
-    let n = tree.node_count();
-    assert_eq!(ids.len(), n, "ID assignment must cover all nodes");
-    let offsets = tree.offsets();
-    let adjacency = tree.adjacency();
-    let rev = reverse_edges(tree);
-
     let shard_cfg = config.shard.clone().unwrap_or_default();
-    let chunk_size = config.resolved_chunk_size();
-    let workers = config.resolved_threads(n);
-    let check = config.arena_check_enabled();
-
-    let contexts: Vec<NodeContext> = tree
-        .nodes()
-        .map(|v| NodeContext {
-            node: v,
-            id: ids.id(v),
-            degree: tree.degree(v),
-            n,
-        })
-        .collect();
-    let mut machines: Vec<Option<P>> = contexts.iter().map(|c| Some(factory(c))).collect();
-
-    // Arena width: the maximum `message_bits` hint when packing is on and
-    // every node hints; the message type's declared ceiling otherwise.
-    assert!(
-        P::Message::CEIL_BITS <= 128,
-        "PackableMessage ceilings are capped at 128 bits"
-    );
-    let width = if shard_cfg.packing {
-        let mut hinted = 0u32;
-        let mut all = true;
-        for (m, ctx) in machines.iter().zip(&contexts) {
-            let Some(machine) = m.as_ref() else {
-                unreachable!("machines start populated")
-            };
-            match machine.message_bits(ctx) {
-                Some(b) => hinted = hinted.max(b),
-                None => {
-                    all = false;
-                    break;
-                }
-            }
-        }
-        if all {
-            hinted.min(P::Message::CEIL_BITS)
-        } else {
-            P::Message::CEIL_BITS
-        }
-    } else {
-        P::Message::CEIL_BITS
-    };
-
-    let plan = ShardPlan::new(tree, chunk_size, shard_cfg.resolved_shards(), &rev);
-    let shard_count = plan.shard_count();
-    let max_resident = if shard_cfg.max_resident == 0 {
-        shard_count
-    } else {
-        shard_cfg.max_resident.clamp(1, shard_count)
-    };
-
-    let layouts: Vec<ArenaLayout> = plan
-        .shards
-        .iter()
-        .map(|s| ArenaLayout::new(&s.chunks, width))
-        .collect();
-    let mut halos: Vec<HaloBuffers> = plan
-        .shards
-        .iter()
-        .map(|s| HaloBuffers::zeroed(s.halo_edges.len(), width))
-        .collect();
-    let halo_bytes: u64 = halos.iter().map(HaloBuffers::bytes).sum();
-    let shard_bytes: Vec<u64> = layouts.iter().map(ArenaLayout::bytes).collect();
-    let pool = if max_resident < shard_count {
-        Some(SpillPool::create(&shard_bytes).map_err(io_err)?)
-    } else {
-        None
-    };
-    let mut residency = Residency {
-        resident: (0..shard_count).map(|_| None).collect(),
-        lru: Vec::with_capacity(shard_count),
-        max_resident,
-        pool,
-        shard_bytes,
-        current_bytes: 0,
-        peak_bytes: 0,
-    };
-
-    let chunk_count = n.div_ceil(chunk_size);
-    let mut outputs: Vec<Option<P::Output>> = vec![None; n];
-    let mut rounds: Vec<u32> = vec![0; n];
-    let mut terminated_in: Vec<u64> = Vec::new();
-    let mut wakes: Vec<u64> = vec![0; n];
-    let mut chunk_wakes: Vec<u64> = vec![0; chunk_count];
-    // Per-chunk round stamps by arena parity: the round in which the
-    // chunk's write-parity presence words were last rewritten.
-    let mut stamp_a: Vec<u64> = vec![u64::MAX; chunk_count];
-    let mut stamp_b: Vec<u64> = vec![u64::MAX; chunk_count];
-    // Per-shard halo-clear stamps by parity, same validity role.
-    let mut halo_stamp: [Vec<u64>; 2] = [vec![u64::MAX; shard_count], vec![u64::MAX; shard_count]];
-    let mail_a: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
-    let mail_b: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
-
-    let max_degree = tree.max_degree();
-    let mut scratches: Vec<Scratch<P::Message>> = (0..workers)
-        .map(|_| Scratch {
-            inbox: Vec::with_capacity(max_degree),
-            outbox: Vec::with_capacity(max_degree),
-        })
-        .collect();
-
-    let mut running = n;
-    let mut messages: u64 = 0;
-    let mut round = 0u64;
-    while running > 0 {
-        if round > max_rounds {
-            return Err(ShardError::Run(RunError::RoundLimitExceeded {
-                limit: max_rounds,
-                unfinished: running,
-            }));
-        }
-        assert!(
-            round < u64::from(u32::MAX),
-            "termination rounds are recorded in u32 slots"
-        );
-        // Even rounds write parity 0 and read parity 1; odd rounds swap —
-        // the monolithic engine's arena/mail parity scheme verbatim.
-        let wp = usize::from(!round.is_multiple_of(2));
-        let rp = wp ^ 1;
-        let (stamp_w_all, stamp_r_all) = if wp == 0 {
-            (&mut stamp_a, &stamp_b)
-        } else {
-            (&mut stamp_b, &stamp_a)
-        };
-        let (mail_now, mail_next) = if wp == 0 {
-            (&mail_a, &mail_b)
-        } else {
-            (&mail_b, &mail_a)
-        };
-        // Open the round's halo write parity: clear and stamp every
-        // shard's buffer before any source pass can capture into it.
-        for (s, halo) in halos.iter_mut().enumerate() {
-            halo.clear_parity(wp);
-            halo_stamp[wp][s] = round;
-        }
-
-        let mut terminated_round = 0usize;
-        let mut sent_round = 0u64;
-        for s in 0..shard_count {
-            let shard = &plan.shards[s];
-            let nchunks = shard.chunks.len();
-            let gc0 = shard.first_chunk;
-            let active = (gc0..gc0 + nchunks)
-                .any(|gc| mail_now[gc].load(Ordering::Relaxed) || chunk_wakes[gc] <= round);
-            if !active {
-                // The monolithic engine would scan and skip every chunk;
-                // skipping the whole shard leaves identical state.
-                continue;
-            }
-            residency.ensure(s, &layouts)?;
-            let layout = &layouts[s];
-            let Some(buffers) = residency.resident[s].as_mut() else {
-                unreachable!("ensure() made shard {s} resident")
-            };
-            let (packed_w, pres_w, packed_r, pres_r) = buffers.parity_mut(wp);
-            let halo_valid = round > 0 && halo_stamp[rp][s] == round - 1;
-            let shared = PassShared::<P::Message> {
-                round,
-                prev: round.wrapping_sub(1),
-                has_prev: round > 0,
-                chunk_size,
+    run_rounds(
+        tree,
+        ids,
+        factory,
+        max_rounds,
+        config,
+        tree.node_count(),
+        |setup: &StoreSetup<'_, P>| {
+            let width = arena_width(setup.machines, setup.contexts, shard_cfg.packing);
+            PackedStore::new(
+                setup.tree,
+                setup.topology.rev,
+                setup.topology.chunk_size,
+                setup.workers,
                 width,
-                check,
-                shard_lo: shard.lo,
-                shard_hi: shard.hi,
-                shard_first_chunk: shard.first_chunk,
-                chunks: &shard.chunks,
-                layout,
-                halo_edges: &shard.halo_edges,
-                packed_r,
-                pres_r,
-                stamp_r: stamp_r_all,
-                halo_packed_r: &halos[s].packed[rp],
-                halo_pres_r: &halos[s].present[rp],
-                halo_valid,
-                offsets,
-                adjacency,
-                rev: &rev,
-                contexts: &contexts,
-                mail_now,
-                mail_next,
-                _marker: std::marker::PhantomData,
-            };
-            let mut regions = split_shard_regions(
-                shard,
-                layout,
-                chunk_size,
-                workers,
-                &mut machines[shard.lo..shard.hi],
-                &mut outputs[shard.lo..shard.hi],
-                &mut rounds[shard.lo..shard.hi],
-                &mut wakes[shard.lo..shard.hi],
-                &mut chunk_wakes[gc0..gc0 + nchunks],
-                &mut stamp_w_all[gc0..gc0 + nchunks],
-                packed_w,
-                pres_w,
-                &mut scratches,
-            );
-            let (terminated, sent) = if regions.len() == 1 {
-                let Some(region) = regions.pop() else {
-                    unreachable!("regions.len() == 1")
-                };
-                shard_pass(region, &shared)
-            } else {
-                let shared = &shared;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = regions
-                        .into_iter()
-                        .map(|region| scope.spawn(move || shard_pass(region, shared)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        })
-                        .fold((0usize, 0u64), |(t, c), (dt, dc)| (t + dt, c + dc))
-                })
-            };
-            terminated_round += terminated;
-            sent_round += sent;
-            // Mirror this pass's boundary-crossing messages while the
-            // shard is guaranteed resident.
-            let Some(buffers) = residency.resident[s].as_ref() else {
-                unreachable!("the pass does not evict")
-            };
-            capture_halos(
-                shard,
-                layout,
-                &buffers.packed[wp],
-                &buffers.present[wp],
-                stamp_w_all,
-                round,
-                width,
-                wp,
-                &mut halos,
-            );
-        }
-        running -= terminated_round;
-        messages += sent_round;
-        terminated_in.push(terminated_round as u64);
-        round += 1;
-        // Round fast-forward, verbatim from the monolithic engine: with
-        // nothing in flight the next event is the earliest wake.
-        if running > 0 && sent_round == 0 {
-            let next = chunk_wakes.iter().copied().min().unwrap_or(u64::MAX);
-            if next > round {
-                let target = next.min(max_rounds.saturating_add(1));
-                terminated_in.resize(target as usize, 0);
-                round = target;
+                &shard_cfg,
+            )
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lcl_graph::generators::path;
+    use lcl_local::engine::{reverse_edges, run_sync_with};
+
+    /// Floods the minimum ID for a fixed budget of rounds.
+    struct MinFlood {
+        best: u64,
+    }
+
+    impl Protocol for MinFlood {
+        type Message = u64;
+        type Output = u64;
+        fn step(
+            &mut self,
+            _ctx: &NodeContext,
+            round: u64,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<'_, u64>,
+        ) -> Option<u64> {
+            for (_, &m) in inbox.iter() {
+                self.best = self.best.min(m);
             }
+            if round >= 12 {
+                return Some(self.best);
+            }
+            outbox.broadcast(self.best);
+            None
         }
     }
 
-    let outputs: Vec<P::Output> = outputs.into_iter().flatten().collect();
-    assert_eq!(
-        outputs.len(),
-        n,
-        "every node has an output once `running` reaches 0"
-    );
-    let profile = TerminationProfile::from_counts(terminated_in);
-    debug_assert_eq!(profile.total_nodes() as usize, n);
-    Ok(SyncOutcome {
-        outputs,
-        stats: RoundStats::new(rounds.into_iter().map(u64::from).collect()),
-        profile,
-        messages,
-        peak_arena_bytes: residency.peak_bytes + halo_bytes,
-    })
+    #[test]
+    fn residency_is_clamped_to_the_planned_shard_count() {
+        // 10 nodes in chunks of 4 make 3 chunks, so a request for 7
+        // shards plans 3; a residency limit of 5 then keeps all 3
+        // resident and needs no spill pool.
+        let tree = path(10);
+        let ids = Ids::sequential(10);
+        let cfg = ShardConfig {
+            shards: 7,
+            max_resident: 5,
+            packing: false,
+        };
+        let store = PackedStore::<u64>::new(&tree, &reverse_edges(&tree), 4, 1, 64, &cfg).unwrap();
+        assert_eq!(store.plan.shard_count(), 3);
+        assert_eq!(store.residency.max_resident, 3);
+        assert!(store.residency.pool.is_none(), "no spill pool");
+
+        let engine = |shard| EngineConfig {
+            chunk_size: 4,
+            threads: 1,
+            check_arena: true,
+            shard,
+        };
+        let factory = |c: &NodeContext| MinFlood { best: c.id };
+        let mono = run_sync_with(&tree, &ids, factory, 100, &engine(None)).unwrap();
+        let sharded = run_sharded(&tree, &ids, factory, 100, &engine(Some(cfg))).unwrap();
+        assert_eq!(sharded.outputs, mono.outputs);
+        assert_eq!(sharded.stats, mono.stats);
+        assert_eq!(sharded.profile, mono.profile);
+        assert_eq!(sharded.messages, mono.messages);
+    }
 }

@@ -171,6 +171,31 @@ impl Protocol for UnitPing {
     }
 }
 
+/// Broadcasts once, at round `node % 3`, and counts every message heard
+/// until round 6: a stale slot or halo bit delivered twice changes the
+/// count.
+struct OneShot {
+    heard: u64,
+}
+
+impl Protocol for OneShot {
+    type Message = u64;
+    type Output = u64;
+    fn step(
+        &mut self,
+        ctx: &NodeContext,
+        round: u64,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<'_, u64>,
+    ) -> Option<u64> {
+        self.heard += inbox.count() as u64;
+        if round == ctx.node as u64 % 3 {
+            outbox.broadcast(round);
+        }
+        (round == 6).then_some(self.heard)
+    }
+}
+
 /// The differential matrix of the issue's acceptance criteria, at engine
 /// level: every (shards, max_resident, packing, threads) cell must agree
 /// bit-for-bit with the monolithic engine at the same chunk size.
@@ -272,6 +297,61 @@ fn unit_messages_match_with_zero_width_arenas() {
     let tree = random_bounded_degree_tree(44, 5, 9);
     let ids = Ids::random(44, 7);
     assert_shard_matrix_agrees(&tree, &ids, |_| UnitPing { heard: 0 }, 10);
+}
+
+#[test]
+fn one_shot_messages_are_delivered_exactly_once() {
+    for tree in [path(37), random_bounded_degree_tree(41, 4, 3)] {
+        let ids = Ids::random(tree.node_count(), 5);
+        assert_shard_matrix_agrees(&tree, &ids, |_| OneShot { heard: 0 }, 10);
+    }
+}
+
+#[test]
+fn full_matrix_is_race_clean_under_checking() {
+    // A chatty protocol (every node broadcasts every round) across the
+    // full chunk-size × thread matrix with the arena checker on, through
+    // both stores of the round scheduler: the slot store and the packed
+    // store at several shard counts, residency limits and packings. Every
+    // write path must satisfy all three checker invariants.
+    let n = 96;
+    let tree = star(n);
+    let ids = Ids::random(n, 9);
+    let factory = |c: &NodeContext| MinFlood {
+        best: c.id,
+        budget: 4,
+    };
+    for chunk_size in [1, 7, 64, n] {
+        for threads in [1, 2, 3] {
+            let base = EngineConfig {
+                chunk_size,
+                threads,
+                check_arena: true,
+                shard: None,
+            };
+            let mono = run_sync_with(&tree, &ids, factory, 100, &base).unwrap();
+            assert!(mono.outputs.iter().all(|&m| m == 0));
+            for shards in [1, 3] {
+                for max_resident in [0, 1] {
+                    for packing in [false, true] {
+                        let cfg = EngineConfig {
+                            shard: Some(ShardConfig {
+                                shards,
+                                max_resident,
+                                packing,
+                            }),
+                            ..base.clone()
+                        };
+                        let sharded = run_sharded(&tree, &ids, factory, 100, &cfg).unwrap();
+                        assert_eq!(
+                            sharded.outputs, mono.outputs,
+                            "cs={chunk_size} t={threads} s={shards} r={max_resident} p={packing}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

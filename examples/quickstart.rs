@@ -1,4 +1,4 @@
-//! Quickstart: pick an algorithm from the registry, run a seeded sweep
+//! Quickstart: pick an algorithm from the solver table, run a seeded sweep
 //! through the `Session` runner, and read off node-averaged complexity.
 //!
 //! ```sh
@@ -8,10 +8,10 @@
 use lcl_landscape::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. The paper's algorithms are registry entries: name, landscape
+    // 1. The paper's algorithms are resolver entries: name, landscape
     //    class, supported instance kinds.
-    println!("registry ({} algorithms):", registry().len());
-    for algo in registry() {
+    println!("solvers ({} algorithms):", resolver().algorithms().len());
+    for algo in resolver().algorithms() {
         println!("  {:<18} {}", algo.name(), algo.landscape_class());
     }
 

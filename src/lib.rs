@@ -27,11 +27,11 @@
 //! ```
 //! use lcl_landscape::prelude::*;
 //!
-//! // Every solver of the landscape is a registry entry with a name, a
+//! // Every solver of the landscape is a resolver entry with a name, a
 //! // landscape class, supported instance kinds, and a bid on
 //! // declarative problems (the ten paper algorithms plus the
 //! // table-driven path-LCL solver).
-//! assert_eq!(registry().len(), 11);
+//! assert_eq!(resolver().algorithms().len(), 11);
 //! let algo = find("generic-coloring").expect("registered");
 //!
 //! // Run a seeded size sweep of the Theorem 11 lower-bound instance
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use lcl_graph::hierarchical::LowerBoundGraph;
     pub use lcl_graph::{NodeMask, Tree, TreeBuilder};
     pub use lcl_harness::{
-        find, registry, Algorithm, HarnessError, Instance, InstanceKind, InstanceSpec, RunConfig,
+        find, resolver, Algorithm, HarnessError, Instance, InstanceKind, InstanceSpec, RunConfig,
         RunRecord, Session, SweepReport,
     };
     pub use lcl_local::identifiers::Ids;

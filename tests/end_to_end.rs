@@ -1,6 +1,6 @@
 //! Integration tests spanning all crates: constructions → algorithms →
 //! verifiers → complexity shapes, driven through the unified harness
-//! (`registry()` + `Session`).
+//! (`resolver()` + `Session`).
 
 use lcl_landscape::algorithms::two_coloring::two_color_path;
 use lcl_landscape::core::params;
