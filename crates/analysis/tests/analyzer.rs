@@ -31,11 +31,26 @@ fn spans(report: &AnalysisReport) -> Vec<(&str, &str, u32)> {
         .collect()
 }
 
+/// The `(rule, file, line)` triples of the findings whose file does
+/// (`inside == true`) or does not start with `prefix`, in report order.
+fn spans_under<'a>(
+    report: &'a AnalysisReport,
+    prefix: &str,
+    inside: bool,
+) -> Vec<(&'a str, &'a str, u32)> {
+    spans(report)
+        .into_iter()
+        .filter(|&(_, file, _)| file.starts_with(prefix) == inside)
+        .collect()
+}
+
 #[test]
 fn hotpath_fixture_triggers_exact_rules_and_spans() {
+    // The shard store file of this fixture is asserted by
+    // `shardpath_fixture_triggers_exact_rules_and_spans`.
     let report = run_fixture("hotpath");
     assert_eq!(
-        spans(&report),
+        spans_under(&report, "crates/shard/", false),
         vec![
             ("LCL-A01", "crates/algorithms/src/protocols/bad.rs", 13),
             ("LCL-A01", "crates/algorithms/src/protocols/bad.rs", 14),
@@ -43,11 +58,6 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
             ("LCL-A02", "crates/local/src/engine.rs", 9),
             ("LCL-A03", "crates/local/src/engine.rs", 10),
             ("LCL-A01", "crates/local/src/engine.rs", 17),
-            ("LCL-A01", "crates/shard/src/runner.rs", 7),
-            ("LCL-A01", "crates/shard/src/runner.rs", 8),
-            ("LCL-A02", "crates/shard/src/runner.rs", 9),
-            ("LCL-A02", "crates/shard/src/runner.rs", 16),
-            ("LCL-A01", "crates/shard/src/runner.rs", 17),
         ],
         "{}",
         report.human()
@@ -56,15 +66,8 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
     assert_eq!(report.findings[0].item, "BadCast::step");
     assert_eq!(report.findings[2].item, "step_region");
     assert_eq!(report.findings[5].item, "Inbox::gather");
-    assert_eq!(report.findings[6].item, "BadRegion::begin_chunk");
-    assert_eq!(report.findings[9].item, "BadStore::end_pass");
-    // The `#[cfg(test)]` allocations in the protocol and store fixtures
-    // are not reported: hot-path rules skip test code. Neither is the
-    // store's `begin_pass`, which runs between passes.
-    assert!(report
-        .findings
-        .iter()
-        .all(|f| f.item != "BadStore::begin_pass"));
+    // The `#[cfg(test)]` allocation in the protocol fixture is not
+    // reported: hot-path rules skip test code.
     assert_eq!(report.files_scanned, 3);
 }
 
@@ -136,6 +139,35 @@ fn crosscheck_churn_fixture_triggers_exact_rules_and_spans() {
             "spider"
         ]
     );
+}
+
+#[test]
+fn shardpath_fixture_triggers_exact_rules_and_spans() {
+    // The sharded runner's packed store is policed by the hot-path rule
+    // (allocation is LCL-A01, file I/O is LCL-A02); its known-bad cases
+    // live in the hotpath fixture's `crates/shard` tree.
+    let report = run_fixture("hotpath");
+    assert_eq!(
+        spans_under(&report, "crates/shard/", true),
+        vec![
+            ("LCL-A01", "crates/shard/src/runner.rs", 7),
+            ("LCL-A01", "crates/shard/src/runner.rs", 8),
+            ("LCL-A02", "crates/shard/src/runner.rs", 9),
+            ("LCL-A02", "crates/shard/src/runner.rs", 16),
+            ("LCL-A01", "crates/shard/src/runner.rs", 17),
+        ],
+        "{}",
+        report.human()
+    );
+    assert_eq!(report.findings[6].item, "BadRegion::begin_chunk");
+    assert_eq!(report.findings[9].item, "BadStore::end_pass");
+    // The store's `begin_pass`, which runs between passes, and the
+    // `#[cfg(test)]` region are not reported: only the per-pass store
+    // methods are policed, and never in test code.
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.item != "BadStore::begin_pass"));
 }
 
 #[test]
