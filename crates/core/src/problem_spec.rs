@@ -604,6 +604,9 @@ impl ProblemSpec {
     ///
     /// A human-readable parse error; malformed input never panics.
     pub fn from_value(value: &Value) -> Result<ProblemSpec, String> {
+        if !matches!(value, Value::Object(_)) {
+            return Err("expected an object with field `problem`".into());
+        }
         let tag = get_str(value, "problem")?;
         let spec = match tag {
             "path" => ProblemSpec::Path(PathTable::new(
@@ -660,83 +663,68 @@ fn check_k(k: usize) -> Result<(), String> {
 
 // --- JSON value-model helpers (the vendored serde has no Deserialize) ------
 
-fn get_field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match value {
-        Value::Object(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{key}`")),
-        _ => Err(format!("expected an object with field `{key}`")),
-    }
+fn missing(key: &str) -> String {
+    format!("missing field `{key}`")
 }
 
 fn get_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    match get_field(value, key)? {
-        Value::Str(s) => Ok(s),
-        other => Err(format!("field `{key}` must be a string, got {other:?}")),
-    }
+    let v = value.get(key).ok_or_else(|| missing(key))?;
+    v.as_str()
+        .ok_or_else(|| format!("field `{key}` must be a string, got {v:?}"))
 }
 
 fn get_bool(value: &Value, key: &str) -> Result<bool, String> {
-    match get_field(value, key)? {
-        Value::Bool(b) => Ok(*b),
-        other => Err(format!("field `{key}` must be a boolean, got {other:?}")),
-    }
-}
-
-fn value_as_usize(v: &Value) -> Option<usize> {
-    match *v {
-        Value::UInt(u) => usize::try_from(u).ok(),
-        Value::Int(i) => usize::try_from(i).ok(),
-        _ => None,
-    }
+    let v = value.get(key).ok_or_else(|| missing(key))?;
+    v.as_bool()
+        .ok_or_else(|| format!("field `{key}` must be a boolean, got {v:?}"))
 }
 
 fn get_usize(value: &Value, key: &str) -> Result<usize, String> {
-    let v = get_field(value, key)?;
-    value_as_usize(v).ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
+    let v = value.get(key).ok_or_else(|| missing(key))?;
+    v.as_u64()
+        .and_then(|u| usize::try_from(u).ok())
+        .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
 }
 
 fn value_as_u8(v: &Value, key: &str) -> Result<u8, String> {
-    value_as_usize(v)
+    v.as_u64()
         .and_then(|u| u8::try_from(u).ok())
         .ok_or_else(|| format!("field `{key}` must hold labels in 0..=255"))
 }
 
+fn get_array<'a>(value: &'a Value, key: &str, what: &str) -> Result<&'a Vec<Value>, String> {
+    let v = value.get(key).ok_or_else(|| missing(key))?;
+    v.as_array()
+        .ok_or_else(|| format!("field `{key}` must be {what}"))
+}
+
 fn get_u8_list(value: &Value, key: &str) -> Result<Vec<u8>, String> {
-    match get_field(value, key)? {
-        Value::Array(items) => items.iter().map(|v| value_as_u8(v, key)).collect(),
-        _ => Err(format!("field `{key}` must be an array of labels")),
-    }
+    get_array(value, key, "an array of labels")?
+        .iter()
+        .map(|v| value_as_u8(v, key))
+        .collect()
 }
 
 fn get_pairs(value: &Value, key: &str) -> Result<Vec<(u8, u8)>, String> {
-    match get_field(value, key)? {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| match item {
-                Value::Array(pair) if pair.len() == 2 => {
-                    Ok((value_as_u8(&pair[0], key)?, value_as_u8(&pair[1], key)?))
-                }
-                _ => Err(format!("field `{key}` must hold two-element [a, b] pairs")),
-            })
-            .collect(),
-        _ => Err(format!("field `{key}` must be an array of pairs")),
-    }
+    get_array(value, key, "an array of pairs")?
+        .iter()
+        .map(|item| match item.as_array().map(Vec::as_slice) {
+            Some([a, b]) => Ok((value_as_u8(a, key)?, value_as_u8(b, key)?)),
+            _ => Err(format!("field `{key}` must hold two-element [a, b] pairs")),
+        })
+        .collect()
 }
 
 fn get_multisets(value: &Value, key: &str) -> Result<Vec<Vec<u8>>, String> {
-    match get_field(value, key)? {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| match item {
-                Value::Array(labels) => labels.iter().map(|v| value_as_u8(v, key)).collect(),
-                _ => Err(format!("field `{key}` must hold arrays of labels")),
-            })
-            .collect(),
-        _ => Err(format!("field `{key}` must be an array of multisets")),
-    }
+    get_array(value, key, "an array of multisets")?
+        .iter()
+        .map(|item| {
+            let labels = item
+                .as_array()
+                .ok_or_else(|| format!("field `{key}` must hold arrays of labels"))?;
+            labels.iter().map(|v| value_as_u8(v, key)).collect()
+        })
+        .collect()
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {

@@ -9,6 +9,10 @@ use crate::error::TreeError;
 /// Index of a node inside a [`Tree`]. Nodes are numbered `0..n`.
 pub type NodeId = usize;
 
+/// Marks an unvisited node or an unpaired slot while [`Tree::from_csr`]
+/// validates its input.
+const UNPAIRED: u32 = u32::MAX;
+
 /// An undirected tree (connected, acyclic) in CSR form.
 ///
 /// # Examples
@@ -31,6 +35,8 @@ pub struct Tree {
     offsets: Vec<u32>,
     /// Flattened neighbor lists; length `2 * (n - 1)`.
     adjacency: Vec<u32>,
+    /// The reverse-edge permutation; see [`Tree::reverse_edges`].
+    rev: Vec<u32>,
 }
 
 impl Tree {
@@ -106,9 +112,8 @@ impl Tree {
                 edges: adjacency.len() / 2,
             });
         }
-        let tree = Tree { offsets, adjacency };
         for v in 0..n {
-            for &w in tree.neighbors(v) {
+            for &w in &adjacency[offsets[v] as usize..offsets[v + 1] as usize] {
                 let w = w as usize;
                 if w >= n {
                     return Err(TreeError::NodeOutOfRange { node: w, n });
@@ -118,47 +123,61 @@ impl Tree {
                 }
             }
         }
-        // Mutuality: every directed edge (v, w) must have exactly one mate
-        // (w, v). With the degree sum fixed at 2(n-1) it suffices to check
-        // the sorted directed edge lists are mirror images.
-        let mut fwd: Vec<(u32, u32)> = Vec::with_capacity(tree.adjacency.len());
-        let mut rev: Vec<(u32, u32)> = Vec::with_capacity(tree.adjacency.len());
-        for v in 0..n {
-            for &w in tree.neighbors(v) {
-                fwd.push((v as u32, w));
-                rev.push((w, v as u32));
+        // Connectivity: a BFS from node 0 over the directed slots records
+        // every reached node's parent and the slot that discovered it.
+        let mut parent = vec![UNPAIRED; n];
+        let mut down = vec![UNPAIRED; n];
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        parent[0] = 0;
+        queue.push(0);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for e in offsets[u as usize]..offsets[u as usize + 1] {
+                let w = adjacency[e as usize] as usize;
+                if parent[w] == UNPAIRED {
+                    parent[w] = u;
+                    down[w] = e;
+                    queue.push(w as u32);
+                }
             }
         }
-        fwd.sort_unstable();
-        rev.sort_unstable();
-        if fwd != rev {
-            return Err(TreeError::DegenerateParameters(
-                "adjacency is not mutual: some directed edge has no reverse".into(),
-            ));
-        }
-        for v in 0..n {
-            let mut nb: Vec<u32> = tree.neighbors(v).to_vec();
-            nb.sort_unstable();
-            if let Some(w) = nb.windows(2).find(|w| w[0] == w[1]) {
-                return Err(TreeError::InvalidEdge {
-                    u: v,
-                    v: w[0] as usize,
-                });
-            }
-        }
-        // Connectivity: n - 1 mutual, duplicate-free edges + connected ⇒ tree.
-        let reached = tree
-            .bfs_distances(0)
-            .iter()
-            .filter(|&&d| d != u32::MAX)
-            .count();
-        if reached != n {
+        if queue.len() != n {
             return Err(TreeError::NotATree {
                 nodes: n,
-                edges: tree.adjacency.len() / 2,
+                edges: adjacency.len() / 2,
             });
         }
-        Ok(tree)
+        // Mutuality and pairing in one pass: the n - 1 discovering slots
+        // are distinct, so the other n - 1 slots must be exactly one slot
+        // per non-root node naming its parent, which reverses the parent's
+        // discovering slot. Any other slot repeats a neighbor or has no
+        // reverse.
+        let mut rev = vec![UNPAIRED; adjacency.len()];
+        for v in 0..n {
+            for e in offsets[v]..offsets[v + 1] {
+                let w = adjacency[e as usize] as usize;
+                if down[w] == e {
+                    continue;
+                }
+                let up = w as u32 == parent[v];
+                if up && rev[down[v] as usize] == UNPAIRED {
+                    rev[e as usize] = down[v];
+                    rev[down[v] as usize] = e;
+                } else if up || parent[w] == v as u32 {
+                    return Err(TreeError::InvalidEdge { u: v, v: w });
+                } else {
+                    return Err(TreeError::DegenerateParameters(
+                        "adjacency is not mutual: some directed edge has no reverse".into(),
+                    ));
+                }
+            }
+        }
+        Ok(Tree {
+            offsets,
+            adjacency,
+            rev,
+        })
     }
 
     /// Number of nodes.
@@ -209,6 +228,16 @@ impl Tree {
     #[inline]
     pub fn adjacency(&self) -> &[u32] {
         &self.adjacency
+    }
+
+    /// The reverse-edge permutation: entry `e` is the slot of the reversal
+    /// of directed edge `e`. If `e = offsets()[v] + p` names neighbor `w`,
+    /// then `reverse_edges()[e]` lies in `w`'s CSR range and names `v`.
+    /// The map is an involution. Both constructors compute it once, so
+    /// engines gather inboxes through it without rebuilding it per run.
+    #[inline]
+    pub fn reverse_edges(&self) -> &[u32] {
+        &self.rev
     }
 
     /// Iterator over all node ids `0..n`.
@@ -466,15 +495,24 @@ impl TreeBuilder {
             offsets[v + 1] = offsets[v] + degree[v];
         }
         let mut adjacency = vec![0u32; 2 * (n - 1)];
+        let mut rev = vec![0u32; 2 * (n - 1)];
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         for &(u, v) in &self.edges {
-            adjacency[cursor[u as usize] as usize] = v;
+            let (su, sv) = (cursor[u as usize], cursor[v as usize]);
+            adjacency[su as usize] = v;
+            adjacency[sv as usize] = u;
+            rev[su as usize] = sv;
+            rev[sv as usize] = su;
             cursor[u as usize] += 1;
-            adjacency[cursor[v as usize] as usize] = u;
             cursor[v as usize] += 1;
         }
-        let tree = Tree { offsets, adjacency };
-        // Connectivity check: n - 1 edges + connected ⇒ acyclic.
+        let tree = Tree {
+            offsets,
+            adjacency,
+            rev,
+        };
+        // Connectivity check: n - 1 edges + connected ⇒ acyclic, which also
+        // rules out duplicate edges (they leave at most n - 2 distinct ones).
         let reached = tree
             .bfs_distances(0)
             .iter()
@@ -485,20 +523,6 @@ impl TreeBuilder {
                 nodes: n,
                 edges: self.edges.len(),
             });
-        }
-        // Duplicate-edge check (a duplicate would create a 2-cycle that the
-        // count+connectivity test can miss only together with a disconnect,
-        // but we check explicitly for a clear error).
-        for v in 0..n {
-            let mut nb: Vec<u32> = tree.neighbors(v).to_vec();
-            nb.sort_unstable();
-            if nb.windows(2).any(|w| w[0] == w[1]) {
-                let dup = nb.windows(2).find(|w| w[0] == w[1]).unwrap()[0];
-                return Err(TreeError::InvalidEdge {
-                    u: v,
-                    v: dup as usize,
-                });
-            }
         }
         Ok(tree)
     }
@@ -670,10 +694,51 @@ mod tests {
         assert!(Tree::from_csr(vec![0, 2, 3, 4], vec![0, 1, 0, 0]).is_err());
         // Out of range.
         assert!(Tree::from_csr(vec![0, 2, 3, 4], vec![9, 1, 0, 0]).is_err());
-        // Non-mutual adjacency: 0 lists 1 twice, 1 and 2 each list 0.
+        // Non-mutual adjacency: 0 lists 1 twice, 1 and 2 each list 0; node
+        // 2 is unreachable from 0.
         assert!(Tree::from_csr(vec![0, 2, 3, 4], vec![1, 1, 0, 0]).is_err());
-        // Disconnected two-cycle + isolated pair is caught by mutuality/dup.
+        // Disconnected two-cycle + isolated pair.
         assert!(Tree::from_csr(vec![0, 1, 2, 4], vec![1, 0, 1, 1]).is_err());
+    }
+
+    #[test]
+    fn from_csr_names_slots_without_a_reverse() {
+        // Connected, but 1 -> 2 has no reverse (2 lists 0 instead).
+        assert!(matches!(
+            Tree::from_csr(vec![0, 2, 3, 4], vec![1, 2, 2, 0]),
+            Err(TreeError::DegenerateParameters(_))
+        ));
+        // Node 1 lists its parent 0 twice.
+        assert!(matches!(
+            Tree::from_csr(vec![0, 1, 4, 4], vec![1, 0, 0, 2]),
+            Err(TreeError::InvalidEdge { u: 1, v: 0 })
+        ));
+        // Node 0 lists its child 1 twice.
+        assert!(matches!(
+            Tree::from_csr(vec![0, 3, 4, 4], vec![1, 1, 2, 0]),
+            Err(TreeError::InvalidEdge { u: 0, v: 1 })
+        ));
+    }
+
+    #[test]
+    fn both_constructors_pair_every_slot_with_its_reverse() {
+        // A hub of 60k leaves: the pairing must not scan the hub's list
+        // once per leaf.
+        let hub = crate::generators::star(60_001);
+        let trees = [small_tree(), hub];
+        for built in trees {
+            let csr = Tree::from_csr(built.offsets().to_vec(), built.adjacency().to_vec()).unwrap();
+            assert_eq!(csr.reverse_edges(), built.reverse_edges());
+            let (offsets, adjacency, rev) = (csr.offsets(), csr.adjacency(), csr.reverse_edges());
+            for v in csr.nodes() {
+                for e in offsets[v] as usize..offsets[v + 1] as usize {
+                    let (w, r) = (adjacency[e] as usize, rev[e] as usize);
+                    assert!((offsets[w] as usize..offsets[w + 1] as usize).contains(&r));
+                    assert_eq!(adjacency[r] as usize, v);
+                    assert_eq!(rev[r] as usize, e);
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,18 @@ proptest! {
         // BFS from node 0 reaches everything.
         let dist = tree.bfs_distances(0);
         prop_assert!(dist.iter().all(|&d| d != u32::MAX));
+        // The builder's edge pairing: slot `rev[e]` belongs to `e`'s head,
+        // points back at `e`'s source, and pairs back with `e`.
+        let (offsets, adjacency, rev) = (tree.offsets(), tree.adjacency(), tree.reverse_edges());
+        prop_assert_eq!(rev.len(), adjacency.len());
+        for v in tree.nodes() {
+            for e in offsets[v] as usize..offsets[v + 1] as usize {
+                let (w, r) = (adjacency[e] as usize, rev[e] as usize);
+                prop_assert!((offsets[w] as usize..offsets[w + 1] as usize).contains(&r));
+                prop_assert_eq!(adjacency[r] as usize, v);
+                prop_assert_eq!(rev[r] as usize, e, "involution");
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,18 @@ fn assert_batch_sound(before: &Tree, r: &BatchResult) {
     assert_eq!(tree.edge_count(), n - 1);
     // Connected: BFS reaches everything.
     assert!(tree.bfs_distances(0).iter().all(|&d| d != u32::MAX));
+    // `from_csr`'s edge pairing: slot `rev[e]` belongs to `e`'s head,
+    // points back at `e`'s source, and pairs back with `e`.
+    let (offsets, adjacency, rev) = (tree.offsets(), tree.adjacency(), tree.reverse_edges());
+    assert_eq!(rev.len(), adjacency.len());
+    for v in tree.nodes() {
+        for e in offsets[v] as usize..offsets[v + 1] as usize {
+            let (w, r) = (adjacency[e] as usize, rev[e] as usize);
+            assert!((offsets[w] as usize..offsets[w + 1] as usize).contains(&r));
+            assert_eq!(adjacency[r] as usize, v);
+            assert_eq!(rev[r] as usize, e, "involution");
+        }
+    }
     // rooted_order stays topological: every node appears after its parent.
     let (order, parent) = tree.rooted_order(0);
     assert_eq!(order.len(), n);

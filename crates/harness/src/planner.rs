@@ -304,7 +304,7 @@ fn to_bw_problem(table: &BwTable) -> BwProblem {
 pub fn canonical_instance(problem: &ProblemSpec, n: usize) -> InstanceSpec {
     match *problem {
         ProblemSpec::Path(_) | ProblemSpec::Coloring { .. } | ProblemSpec::Bw(_) => {
-            InstanceSpec::Path { n: n.max(1) }
+            InstanceSpec::Path { n }
         }
         ProblemSpec::HierarchicalColoring { k } => InstanceSpec::Theorem11 { n, k },
         ProblemSpec::Weighted {

@@ -22,12 +22,14 @@
 //!   port `p` this round, stamped with its delivery round. The arenas are
 //!   allocated once per run and reused (double-buffered) across all rounds
 //!   — no per-node per-round allocation.
-//! - **Gather-based delivery.** A precomputed reverse-edge permutation maps
-//!   each directed edge to its reversal, so a node's inbox is a zero-copy
-//!   *view* over the previous round's write arena; nothing is moved or
-//!   cloned between rounds. Readers accept only slots stamped with the
-//!   current round, so stale slots of nodes the scheduler skipped (or that
-//!   terminated) never resurface — no clearing passes are needed.
+//! - **Gather-based delivery.** The tree's reverse-edge permutation
+//!   ([`lcl_graph::Tree::reverse_edges`], computed once per tree by
+//!   `lcl_graph`, not per run) maps each directed edge to its reversal, so
+//!   a node's inbox is a zero-copy *view* over the previous round's write
+//!   arena; nothing is moved or cloned between rounds. Readers accept only
+//!   slots stamped with the current round, so stale slots of nodes the
+//!   scheduler skipped (or that terminated) never resurface — no clearing
+//!   passes are needed.
 //! - **Chunked parallelism.** Nodes are split into fixed-size chunks;
 //!   contiguous runs of chunks form per-worker regions executed on scoped
 //!   std threads. Within a round, workers write disjoint CSR ranges of the
@@ -58,8 +60,6 @@
 use crate::identifiers::Ids;
 use crate::metrics::{RoundStats, TerminationProfile};
 use lcl_graph::{NodeId, Tree};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -587,38 +587,6 @@ enum NodeState {
     Done,
 }
 
-/// The reverse-edge permutation: for each directed edge `offsets[v] + p`
-/// (node `v`, port `p`, neighbor `w`), the index of the reverse edge
-/// `(w -> v)` in the CSR layout. Computed once per run in `O(n)`.
-/// Public for the sharded executor (`lcl_shard`), which shares the
-/// monolithic engine's arena geometry.
-#[must_use]
-pub fn reverse_edges(tree: &Tree) -> Vec<u32> {
-    let offsets = tree.offsets();
-    let adjacency = tree.adjacency();
-    let mut rev = vec![0u32; adjacency.len()];
-    let mut open: HashMap<(u32, u32), u32> = HashMap::with_capacity(adjacency.len() / 2 + 1);
-    for v in tree.nodes() {
-        let base = offsets[v] as usize;
-        for (p, &w) in tree.neighbors(v).iter().enumerate() {
-            let e = (base + p) as u32;
-            let vu = v as u32;
-            let key = if vu < w { (vu, w) } else { (w, vu) };
-            match open.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(e);
-                }
-                Entry::Occupied(slot) => {
-                    let e0 = slot.remove();
-                    rev[e as usize] = e0;
-                    rev[e0 as usize] = e;
-                }
-            }
-        }
-    }
-    rev
-}
-
 /// Region cut points: `workers + 1` node indices, every internal cut on a
 /// chunk boundary, chunks distributed as evenly as possible. Public for
 /// the sharded executor, whose shard partitioner and intra-shard worker
@@ -745,7 +713,7 @@ pub struct Topology<'a> {
     pub offsets: &'a [u32],
     /// CSR adjacency: the head of every directed edge.
     pub adjacency: &'a [u32],
-    /// The reverse-edge permutation ([`reverse_edges`]).
+    /// The reverse-edge permutation ([`Tree::reverse_edges`]).
     pub rev: &'a [u32],
     /// Nodes per scheduling chunk (resolved, non-zero).
     pub chunk_size: usize,
@@ -1273,13 +1241,12 @@ where
 {
     let n = tree.node_count();
     assert_eq!(ids.len(), n, "ID assignment must cover all nodes");
-    let rev = reverse_edges(tree);
     let chunk_size = config.resolved_chunk_size();
     let workers = config.resolved_threads(n);
     let topology = Topology {
         offsets: tree.offsets(),
         adjacency: tree.adjacency(),
-        rev: &rev,
+        rev: tree.reverse_edges(),
         chunk_size,
     };
 
@@ -1818,7 +1785,7 @@ pub(crate) mod tests {
     #[test]
     fn reverse_edges_are_involutive() {
         let tree = lcl_graph::generators::random_bounded_degree_tree(200, 5, 3);
-        let rev = reverse_edges(&tree);
+        let rev = tree.reverse_edges();
         let offsets = tree.offsets();
         let adjacency = tree.adjacency();
         for v in tree.nodes() {

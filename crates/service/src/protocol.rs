@@ -151,7 +151,7 @@ impl Request {
             id: None,
             message: format!("malformed JSON: {e}"),
         })?;
-        let id = field(&value, "id").and_then(as_u64);
+        let id = value.get("id").and_then(Value::as_u64);
         let wire = |message: String| WireError { id, message };
         let op = get_str(&value, "op").map_err(wire)?;
         let id = get_u64(&value, "id").map_err(|m| WireError {
@@ -495,7 +495,7 @@ impl Response {
             id: None,
             message: format!("malformed JSON: {e}"),
         })?;
-        let id = field(&value, "id").and_then(as_u64);
+        let id = value.get("id").and_then(Value::as_u64);
         let wire = |message: String| WireError { id, message };
         let kind = get_str(&value, "kind").map_err(wire)?;
         let need_id = || get_u64(&value, "id").map_err(|m| WireError { id, message: m });
@@ -512,14 +512,18 @@ impl Response {
             "record" => Ok(Response::Record {
                 id: need_id()?,
                 record: parse_record(
-                    field(&value, "record").ok_or_else(|| wire("missing `record`".into()))?,
+                    value
+                        .get("record")
+                        .ok_or_else(|| wire("missing `record`".into()))?,
                 )
                 .map_err(wire)?,
             }),
             "stats" => Ok(Response::Stats {
                 id: need_id()?,
                 stats: parse_stats(
-                    field(&value, "stats").ok_or_else(|| wire("missing `stats`".into()))?,
+                    value
+                        .get("stats")
+                        .ok_or_else(|| wire("missing `stats`".into()))?,
                 )
                 .map_err(wire)?,
             }),
@@ -616,7 +620,7 @@ fn render(value: &Value) -> String {
 }
 
 fn parse_problem(value: &Value) -> Result<ProblemSpec, String> {
-    match field(value, "problem") {
+    match value.get("problem") {
         Some(Value::Str(name)) => {
             ProblemSpec::preset(name).ok_or_else(|| format!("unknown preset `{name}`"))
         }
@@ -657,12 +661,16 @@ fn parse_stats(value: &Value) -> Result<ServiceStats, String> {
         jobs_ok: get_u64(value, "jobs_ok")?,
         jobs_failed: get_u64(value, "jobs_failed")?,
         overloaded: get_u64(value, "overloaded")?,
-        plan_cache: parse_cache(field(value, "plan_cache").ok_or("missing `plan_cache`")?)?,
+        plan_cache: parse_cache(value.get("plan_cache").ok_or("missing `plan_cache`")?)?,
         instance_cache: parse_cache(
-            field(value, "instance_cache").ok_or("missing `instance_cache`")?,
+            value
+                .get("instance_cache")
+                .ok_or("missing `instance_cache`")?,
         )?,
         peeling_cache: parse_cache(
-            field(value, "peeling_cache").ok_or("missing `peeling_cache`")?,
+            value
+                .get("peeling_cache")
+                .ok_or("missing `peeling_cache`")?,
         )?,
     })
 }
@@ -676,40 +684,25 @@ fn parse_cache(value: &Value) -> Result<CacheStats, String> {
     })
 }
 
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u64(value: &Value) -> Option<u64> {
-    match *value {
-        Value::UInt(u) => Some(u),
-        Value::Int(i) if i >= 0 => Some(i as u64),
-        _ => None,
-    }
-}
-
 fn get_u64(value: &Value, name: &str) -> Result<u64, String> {
     opt_u64(value, name)?.ok_or_else(|| format!("missing `{name}`"))
 }
 
 fn opt_u64(value: &Value, name: &str) -> Result<Option<u64>, String> {
-    match field(value, name) {
+    match value.get(name) {
         None | Some(Value::Null) => Ok(None),
-        Some(v) => as_u64(v)
+        Some(v) => v
+            .as_u64()
             .map(Some)
             .ok_or_else(|| format!("`{name}` must be a non-negative integer")),
     }
 }
 
 fn get_f64(value: &Value, name: &str) -> Result<f64, String> {
-    match field(value, name) {
-        Some(Value::Float(x)) => Ok(*x),
-        Some(Value::UInt(u)) => Ok(*u as f64),
-        Some(Value::Int(i)) => Ok(*i as f64),
-        Some(_) => Err(format!("`{name}` must be a number")),
+    match value.get(name) {
+        Some(v) => v
+            .as_f64()
+            .ok_or_else(|| format!("`{name}` must be a number")),
         None => Err(format!("missing `{name}`")),
     }
 }
@@ -719,30 +712,38 @@ fn get_bool(value: &Value, name: &str) -> Result<bool, String> {
 }
 
 fn opt_bool(value: &Value, name: &str) -> Result<Option<bool>, String> {
-    match field(value, name) {
+    match value.get(name) {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(format!("`{name}` must be a boolean")),
+        Some(v) => v
+            .as_bool()
+            .map(Some)
+            .ok_or_else(|| format!("`{name}` must be a boolean")),
     }
 }
 
 fn get_str(value: &Value, name: &str) -> Result<String, String> {
-    match field(value, name) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("`{name}` must be a string")),
+    match value.get(name) {
+        Some(v) => v
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| format!("`{name}` must be a string")),
         None => Err(format!("missing `{name}`")),
     }
 }
 
 fn opt_u64_array(value: &Value, name: &str) -> Result<Option<Vec<u64>>, String> {
-    match field(value, name) {
+    match value.get(name) {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::Array(items)) => items
+        Some(v) => v
+            .as_array()
+            .ok_or_else(|| format!("`{name}` must be an array"))?
             .iter()
-            .map(|v| as_u64(v).ok_or_else(|| format!("`{name}` must hold non-negative integers")))
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| format!("`{name}` must hold non-negative integers"))
+            })
             .collect::<Result<Vec<u64>, String>>()
             .map(Some),
-        Some(_) => Err(format!("`{name}` must be an array")),
     }
 }
 

@@ -176,11 +176,22 @@ fn invalid_and_unsolvable_specs_get_typed_errors() {
         other => panic!("expected bad-request, got {other:?}"),
     }
 
+    // Empty instance: a path needs n >= 1, so the build fails typed.
+    conn.send_line(r#"{"op":"solve","id":5,"problem":"2-coloring","n":0}"#);
+    let response = parse(&conn.recv_timeout(RECV).expect("answered"));
+    match response {
+        Response::Error { id, kind, .. } => {
+            assert_eq!(id, Some(5));
+            assert_eq!(kind, ErrorKind::RunFailed);
+        }
+        other => panic!("expected run-failed, got {other:?}"),
+    }
+
     // The pool still serves after every failure.
-    conn.send_line(r#"{"op":"solve","id":5,"problem":"3-coloring","n":300}"#);
+    conn.send_line(r#"{"op":"solve","id":6,"problem":"3-coloring","n":300}"#);
     let response = parse(&conn.recv_timeout(RECV).expect("answered"));
     assert!(
-        matches!(response, Response::Record { id: 5, .. }),
+        matches!(response, Response::Record { id: 6, .. }),
         "expected record, got {response:?}"
     );
 }

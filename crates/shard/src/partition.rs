@@ -107,21 +107,20 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Partitions `tree` into at most `shards` contiguous node-range
     /// shards of whole chunks. Fewer shards are produced when the tree has
-    /// fewer chunks than requested. `rev` is the reverse-edge permutation
-    /// from [`lcl_local::engine::reverse_edges`].
+    /// fewer chunks than requested. Halo routes follow the tree's own
+    /// reverse-edge permutation ([`Tree::reverse_edges`]).
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size` or `shards` is zero, or if `rev` does not
-    /// match the tree's CSR.
+    /// Panics if `chunk_size` or `shards` is zero.
     #[must_use]
-    pub fn new(tree: &Tree, chunk_size: usize, shards: usize, rev: &[u32]) -> Self {
+    pub fn new(tree: &Tree, chunk_size: usize, shards: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         assert!(shards > 0, "shard count must be positive");
         let n = tree.node_count();
         let offsets = tree.offsets();
         let adjacency = tree.adjacency();
-        assert_eq!(rev.len(), adjacency.len(), "rev must cover every slot");
+        let rev = tree.reverse_edges();
 
         let bounds = region_bounds(n, chunk_size, shards);
         let mut infos: Vec<ShardInfo> = bounds
@@ -223,18 +222,12 @@ impl ShardPlan {
 mod tests {
     use super::*;
     use lcl_graph::generators::{path, random_bounded_degree_tree, star};
-    use lcl_local::engine::reverse_edges;
-
-    fn plan_for(tree: &Tree, chunk_size: usize, shards: usize) -> ShardPlan {
-        let rev = reverse_edges(tree);
-        ShardPlan::new(tree, chunk_size, shards, &rev)
-    }
 
     #[test]
     fn shards_tile_the_node_range() {
         for (n, cs, s) in [(1usize, 1, 1), (10, 3, 4), (10, 3, 99), (64, 8, 3)] {
             let tree = path(n);
-            let plan = plan_for(&tree, cs, s);
+            let plan = ShardPlan::new(&tree, cs, s);
             assert_eq!(plan.bounds.first(), Some(&0));
             assert_eq!(plan.bounds.last(), Some(&n));
             let mut covered = 0;
@@ -254,7 +247,7 @@ mod tests {
     #[test]
     fn halo_edges_are_exactly_the_cut_edges() {
         let tree = random_bounded_degree_tree(70, 4, 3);
-        let plan = plan_for(&tree, 4, 5);
+        let plan = ShardPlan::new(&tree, 4, 5);
         let offsets = tree.offsets();
         for info in &plan.shards {
             let mut expected: Vec<u32> = Vec::new();
@@ -276,8 +269,8 @@ mod tests {
     #[test]
     fn outgoing_routes_invert_the_halo_lists() {
         let tree = star(23);
-        let rev = reverse_edges(&tree);
-        let plan = ShardPlan::new(&tree, 4, 4, &rev);
+        let rev = tree.reverse_edges();
+        let plan = ShardPlan::new(&tree, 4, 4);
         let offsets = tree.offsets();
         // Every halo slot of every shard is fed by exactly one route.
         let mut fed: Vec<Vec<bool>> = plan
@@ -309,7 +302,7 @@ mod tests {
     #[test]
     fn single_shard_has_no_halo() {
         let tree = path(50);
-        let plan = plan_for(&tree, 8, 1);
+        let plan = ShardPlan::new(&tree, 8, 1);
         assert_eq!(plan.shard_count(), 1);
         assert!(plan.shards[0].halo_edges.is_empty());
         assert!(plan.shards[0].outgoing.is_empty());

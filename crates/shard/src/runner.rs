@@ -214,13 +214,12 @@ impl<M> PackedStore<M> {
     /// [`ShardError::Io`] if the spill pool cannot be created.
     fn new(
         tree: &Tree,
-        rev: &[u32],
         chunk_size: usize,
         workers: usize,
         width: u32,
         cfg: &ShardConfig,
     ) -> Result<Self, ShardError> {
-        let plan = ShardPlan::new(tree, chunk_size, cfg.resolved_shards(), rev);
+        let plan = ShardPlan::new(tree, chunk_size, cfg.resolved_shards());
         let shard_count = plan.shard_count();
         let max_resident = cfg.resolved_max_resident(shard_count);
         let layouts: Vec<ArenaLayout> = plan
@@ -576,7 +575,6 @@ where
             let width = arena_width(setup.machines, setup.contexts, shard_cfg.packing);
             PackedStore::new(
                 setup.tree,
-                setup.topology.rev,
                 setup.topology.chunk_size,
                 setup.workers,
                 width,
@@ -590,7 +588,7 @@ where
 mod tests {
     use super::*;
     use lcl_graph::generators::path;
-    use lcl_local::engine::{reverse_edges, run_sync_with};
+    use lcl_local::engine::run_sync_with;
 
     /// Floods the minimum ID for a fixed budget of rounds.
     struct MinFlood {
@@ -630,7 +628,7 @@ mod tests {
             max_resident: 5,
             packing: false,
         };
-        let store = PackedStore::<u64>::new(&tree, &reverse_edges(&tree), 4, 1, 64, &cfg).unwrap();
+        let store = PackedStore::<u64>::new(&tree, 4, 1, 64, &cfg).unwrap();
         assert_eq!(store.plan.shard_count(), 3);
         assert_eq!(store.residency.max_resident, 3);
         assert!(store.residency.pool.is_none(), "no spill pool");

@@ -15,16 +15,10 @@
 
 use lcl_graph::generators::random_bounded_degree_tree;
 use lcl_graph::Tree;
-use lcl_local::engine::reverse_edges;
 use lcl_local::packed::{bits_for, PackableMessage};
 use lcl_shard::arena::{get_bits, set_bits, HaloBuffers};
 use lcl_shard::ShardPlan;
 use proptest::prelude::*;
-
-fn plan_for(tree: &Tree, chunk_size: usize, shards: usize) -> ShardPlan {
-    let rev = reverse_edges(tree);
-    ShardPlan::new(tree, chunk_size, shards, &rev)
-}
 
 /// Brute-force cut-edge set of `lo..hi`: reading edge slots whose
 /// endpoint lives outside the range, in CSR order.
@@ -53,7 +47,7 @@ proptest! {
         shards in 1usize..12,
     ) {
         let tree = random_bounded_degree_tree(n, max_degree, seed);
-        let plan = plan_for(&tree, chunk_size, shards);
+        let plan = ShardPlan::new(&tree, chunk_size, shards);
         let mut covered = 0usize;
         for (i, info) in plan.shards.iter().enumerate() {
             prop_assert_eq!(info.lo, covered, "shard {} starts at the previous end", i);
@@ -78,7 +72,7 @@ proptest! {
         width in 0u32..=128,
     ) {
         let tree = random_bounded_degree_tree(n, max_degree, seed);
-        let plan = plan_for(&tree, chunk_size, shards);
+        let plan = ShardPlan::new(&tree, chunk_size, shards);
         let mut total_cut = 0usize;
         for info in &plan.shards {
             let expected = cut_edges(&tree, info.lo, info.hi);
